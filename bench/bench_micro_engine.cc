@@ -243,7 +243,9 @@ BENCHMARK(BM_GuardedTrainEpoch)->Arg(1000);
 
 // ---------------------------------------------------------------------------
 // Kernel roofline sweep (--kernels-json FILE): times every KernelBackend
-// entry point on the scalar and (when the host supports it) AVX2 backends,
+// entry point the AVX2 backend overrides (the GEMM family, SpMM, Reduce) on
+// the scalar and (when the host supports it) AVX2 backends. The elementwise
+// families run the same code in both backends, so they are not swept. It
 // reports GFLOP/s and effective GB/s, and verifies the determinism contract
 // — scalar and default-AVX2 outputs bytewise equal, and each backend
 // bytewise equal at 1 and 8 threads. Under --fast-math the reassociating
@@ -315,13 +317,12 @@ int RunSweep(const char* path) {
   // Shapes sized so one call is microseconds-to-milliseconds: big enough to
   // dominate ParallelFor overhead, small enough for quick CI runs.
   const int64_t kN = 256, kK = 256, kM = 256;   // dense Gemm family
-  const int64_t kEw = int64_t{1} << 20;         // elementwise / reduce
+  const int64_t kEw = int64_t{1} << 20;         // reduce
   const int64_t kRows = 20000, kDeg = 10, kC = 32;  // SpMM
 
   const auto a = RandomVec(static_cast<size_t>(kN * kK), 11);
   const auto b = RandomVec(static_cast<size_t>(kK * kM), 12);
   const auto u = RandomVec(static_cast<size_t>(kEw), 13);
-  const auto v = RandomVec(static_cast<size_t>(kEw), 14);
 
   // Random ~kDeg-regular CSR adjacency for SpMM.
   std::vector<int64_t> row_ptr(static_cast<size_t>(kRows) + 1, 0);
@@ -368,20 +369,6 @@ int RunSweep(const char* path) {
                  kC, out->data());
        },
        static_cast<size_t>(kRows * kC)});
-  cases.push_back(
-      {"ewise_add", static_cast<double>(kEw), 12.0 * kEw,
-       [&](const tensor::KernelBackend& be, std::vector<float>* out) {
-         be.EwiseBinary(tensor::EwiseBinaryOp::kAdd, u.data(), v.data(),
-                        out->data(), kEw);
-       },
-       static_cast<size_t>(kEw)});
-  cases.push_back(
-      {"ewise_relu", static_cast<double>(kEw), 8.0 * kEw,
-       [&](const tensor::KernelBackend& be, std::vector<float>* out) {
-         be.EwiseUnary(tensor::EwiseUnaryOp::kRelu, 0.0f, 0.0f, u.data(),
-                       out->data(), kEw);
-       },
-       static_cast<size_t>(kEw)});
   cases.push_back(
       {"reduce_sum", static_cast<double>(kEw), 4.0 * kEw,
        [&](const tensor::KernelBackend& be, std::vector<float>* out) {

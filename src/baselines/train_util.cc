@@ -16,7 +16,6 @@
 #include "eval/stats.h"
 #include "fairness/metrics.h"
 #include "nn/optim.h"
-#include "tensor/arena.h"
 #include "tensor/ops.h"
 
 namespace fairwos::baselines {
@@ -134,14 +133,7 @@ common::Result<int64_t> TrainClassifier(const TrainOptions& options,
       obs::MetricsRegistry::Global().GetWindowed("train.window.epoch_ms");
   obs::WindowedHistogram* grad_window =
       obs::MetricsRegistry::Global().GetWindowed("train.window.grad_norm");
-  // Per-epoch tensors (op outputs, tape intermediates) bump-allocate from
-  // this arena; the reset at each epoch boundary reuses the same hot blocks
-  // (tensor/arena.h). Parameters and datasets were allocated outside the
-  // scope and stay on the heap.
-  tensor::Arena arena;
   for (int64_t epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    tensor::ArenaScope arena_scope(&arena);
-    arena.EpochReset();
     if (options.deadline.Expired()) {
       bool checkpointed = false;
       if (rotation != nullptr) {

@@ -14,7 +14,6 @@
 #include "core/lambda_solver.h"
 #include "fairness/metrics.h"
 #include "nn/optim.h"
-#include "tensor/arena.h"
 #include "tensor/ops.h"
 
 namespace fairwos::core {
@@ -182,14 +181,7 @@ common::Status PretrainClassifier(
       obs::MetricsRegistry::Global().GetWindowed("train.window.epoch_ms");
   obs::WindowedHistogram* grad_window =
       obs::MetricsRegistry::Global().GetWindowed("train.window.grad_norm");
-  // Per-epoch tensors (op outputs, tape intermediates) bump-allocate from
-  // this arena; the reset at each epoch boundary reuses the same hot blocks
-  // (tensor/arena.h). Parameters and datasets were allocated outside the
-  // scope and stay on the heap.
-  tensor::Arena arena;
   for (int64_t epoch = start_epoch; epoch < config.pretrain_epochs; ++epoch) {
-    tensor::ArenaScope arena_scope(&arena);
-    arena.EpochReset();
     if (config.deadline.Expired()) {
       bool checkpointed = false;
       if (rotation != nullptr) {
@@ -520,15 +512,8 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
         obs::MetricsRegistry::Global().GetWindowed("train.window.epoch_ms");
     obs::WindowedHistogram* grad_window =
         obs::MetricsRegistry::Global().GetWindowed("train.window.grad_norm");
-    // Per-epoch tensors (op outputs, tape intermediates) bump-allocate from
-    // this arena; the reset at each epoch boundary reuses the same hot blocks
-    // (tensor/arena.h). Parameters and datasets were allocated outside the
-    // scope and stay on the heap.
-    tensor::Arena arena;
     for (int64_t epoch = start_epoch; epoch < config.finetune_epochs;
          ++epoch) {
-      tensor::ArenaScope arena_scope(&arena);
-      arena.EpochReset();
       if (config.deadline.Expired()) {
         bool checkpointed = false;
         if (rotation != nullptr) {

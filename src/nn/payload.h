@@ -26,7 +26,8 @@ inline void AppendF64(std::string* out, double v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-/// Works for any contiguous float container (std::vector, FloatBuffer).
+/// Works for std::vector<float> with any allocator, e.g. the 64-byte-aligned
+/// tensor::FloatBuffer behind tensor storage.
 template <typename FloatContainer>
 inline void AppendFloats(std::string* out, const FloatContainer& v) {
   static_assert(sizeof(typename FloatContainer::value_type) == sizeof(float));

@@ -18,6 +18,170 @@ namespace {
 // negligible.
 constexpr int64_t kSpmmRowGrain = 256;
 
+// Elementwise chunk bodies. Every backend runs these: the loops are
+// compiler-vectorized and memory-bound, so hand-written SIMD does not beat
+// them, and one implementation makes the family bit-identical across
+// backends.
+
+void EwiseBinaryChunk(EwiseBinaryOp op, const float* a, const float* b,
+                      float* out, int64_t lo, int64_t hi) {
+  switch (op) {
+    case EwiseBinaryOp::kAdd:
+      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
+      break;
+    case EwiseBinaryOp::kSub:
+      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] - b[i];
+      break;
+    case EwiseBinaryOp::kMul:
+      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
+      break;
+    case EwiseBinaryOp::kDiv:
+      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] / b[i];
+      break;
+  }
+}
+
+void EwiseBinaryGradChunk(EwiseBinaryOp op, int input, const float* y,
+                          const float* gy, const float* a, const float* b,
+                          float* gx, int64_t lo, int64_t hi) {
+  switch (op) {
+    case EwiseBinaryOp::kAdd:
+      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i];
+      break;
+    case EwiseBinaryOp::kSub:
+      if (input == 0) {
+        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i];
+      } else {
+        for (int64_t i = lo; i < hi; ++i) gx[i] += -gy[i];
+      }
+      break;
+    case EwiseBinaryOp::kMul:
+      if (input == 0) {
+        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * b[i];
+      } else {
+        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * a[i];
+      }
+      break;
+    case EwiseBinaryOp::kDiv:
+      if (input == 0) {
+        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] / b[i];
+      } else {
+        // d(a/b)/db = -a/b² = -y/b.
+        for (int64_t i = lo; i < hi; ++i) gx[i] += -gy[i] * y[i] / b[i];
+      }
+      break;
+  }
+}
+
+void EwiseUnaryChunk(EwiseUnaryOp op, float p0, float p1, const float* x,
+                     float* out, int64_t lo, int64_t hi) {
+  switch (op) {
+    case EwiseUnaryOp::kAddScalar:
+      for (int64_t i = lo; i < hi; ++i) out[i] = x[i] + p0;
+      break;
+    case EwiseUnaryOp::kMulScalar:
+      for (int64_t i = lo; i < hi; ++i) out[i] = x[i] * p0;
+      break;
+    case EwiseUnaryOp::kRelu:
+      for (int64_t i = lo; i < hi; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
+      break;
+    case EwiseUnaryOp::kLeakyRelu:
+      for (int64_t i = lo; i < hi; ++i) {
+        out[i] = x[i] > 0.0f ? x[i] : p0 * x[i];
+      }
+      break;
+    case EwiseUnaryOp::kSigmoid:
+      for (int64_t i = lo; i < hi; ++i) {
+        // Stable in both tails.
+        if (x[i] >= 0.0f) {
+          out[i] = 1.0f / (1.0f + std::exp(-x[i]));
+        } else {
+          const float e = std::exp(x[i]);
+          out[i] = e / (1.0f + e);
+        }
+      }
+      break;
+    case EwiseUnaryOp::kTanh:
+      for (int64_t i = lo; i < hi; ++i) out[i] = std::tanh(x[i]);
+      break;
+    case EwiseUnaryOp::kExp:
+      for (int64_t i = lo; i < hi; ++i) out[i] = std::exp(x[i]);
+      break;
+    case EwiseUnaryOp::kLog:
+      for (int64_t i = lo; i < hi; ++i) out[i] = std::log(x[i]);
+      break;
+    case EwiseUnaryOp::kSqrt:
+      for (int64_t i = lo; i < hi; ++i) out[i] = std::sqrt(x[i]);
+      break;
+    case EwiseUnaryOp::kAbs:
+      for (int64_t i = lo; i < hi; ++i) out[i] = std::abs(x[i]);
+      break;
+    case EwiseUnaryOp::kPow:
+      for (int64_t i = lo; i < hi; ++i) out[i] = std::pow(x[i], p0);
+      break;
+    case EwiseUnaryOp::kClamp:
+      for (int64_t i = lo; i < hi; ++i) {
+        out[i] = std::min(std::max(x[i], p0), p1);
+      }
+      break;
+  }
+}
+
+void EwiseUnaryGradChunk(EwiseUnaryOp op, float p0, float p1, const float* y,
+                         const float* x, const float* gy, float* gx,
+                         int64_t lo, int64_t hi) {
+  switch (op) {
+    case EwiseUnaryOp::kAddScalar:
+      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i];
+      break;
+    case EwiseUnaryOp::kMulScalar:
+      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * p0;
+      break;
+    case EwiseUnaryOp::kRelu:
+      for (int64_t i = lo; i < hi; ++i) {
+        gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : 0.0f);
+      }
+      break;
+    case EwiseUnaryOp::kLeakyRelu:
+      for (int64_t i = lo; i < hi; ++i) {
+        gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : p0);
+      }
+      break;
+    case EwiseUnaryOp::kSigmoid:
+      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * (y[i] * (1.0f - y[i]));
+      break;
+    case EwiseUnaryOp::kTanh:
+      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * (1.0f - y[i] * y[i]);
+      break;
+    case EwiseUnaryOp::kExp:
+      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * y[i];
+      break;
+    case EwiseUnaryOp::kLog:
+      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * (1.0f / x[i]);
+      break;
+    case EwiseUnaryOp::kSqrt:
+      for (int64_t i = lo; i < hi; ++i) {
+        gx[i] += gy[i] * (0.5f / std::max(y[i], 1e-12f));
+      }
+      break;
+    case EwiseUnaryOp::kAbs:
+      for (int64_t i = lo; i < hi; ++i) {
+        gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : (x[i] < 0.0f ? -1.0f : 0.0f));
+      }
+      break;
+    case EwiseUnaryOp::kPow:
+      for (int64_t i = lo; i < hi; ++i) {
+        gx[i] += gy[i] * (p0 * std::pow(x[i], p0 - 1.0f));
+      }
+      break;
+    case EwiseUnaryOp::kClamp:
+      for (int64_t i = lo; i < hi; ++i) {
+        gx[i] += gy[i] * ((x[i] >= p0 && x[i] <= p1) ? 1.0f : 0.0f);
+      }
+      break;
+  }
+}
+
 }  // namespace
 
 int64_t RowGrain(int64_t row_cost) {
@@ -173,171 +337,6 @@ void CpuBackend::SpmmChunk(const int64_t* row_ptr, const int64_t* col_idx,
       const float* xrow = x + col_idx[p] * x_cols;
       for (int64_t c = 0; c < x_cols; ++c) yrow[c] += v * xrow[c];
     }
-  }
-}
-
-void CpuBackend::EwiseBinaryChunk(EwiseBinaryOp op, const float* a,
-                                  const float* b, float* out, int64_t lo,
-                                  int64_t hi) const {
-  switch (op) {
-    case EwiseBinaryOp::kAdd:
-      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
-      break;
-    case EwiseBinaryOp::kSub:
-      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] - b[i];
-      break;
-    case EwiseBinaryOp::kMul:
-      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
-      break;
-    case EwiseBinaryOp::kDiv:
-      for (int64_t i = lo; i < hi; ++i) out[i] = a[i] / b[i];
-      break;
-  }
-}
-
-void CpuBackend::EwiseBinaryGradChunk(EwiseBinaryOp op, int input,
-                                      const float* y, const float* gy,
-                                      const float* a, const float* b,
-                                      float* gx, int64_t lo,
-                                      int64_t hi) const {
-  (void)a;
-  switch (op) {
-    case EwiseBinaryOp::kAdd:
-      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i];
-      break;
-    case EwiseBinaryOp::kSub:
-      if (input == 0) {
-        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i];
-      } else {
-        for (int64_t i = lo; i < hi; ++i) gx[i] += -gy[i];
-      }
-      break;
-    case EwiseBinaryOp::kMul:
-      if (input == 0) {
-        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * b[i];
-      } else {
-        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * a[i];
-      }
-      break;
-    case EwiseBinaryOp::kDiv:
-      if (input == 0) {
-        for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] / b[i];
-      } else {
-        // d(a/b)/db = -a/b² = -y/b.
-        for (int64_t i = lo; i < hi; ++i) gx[i] += -gy[i] * y[i] / b[i];
-      }
-      break;
-  }
-}
-
-void CpuBackend::EwiseUnaryChunk(EwiseUnaryOp op, float p0, float p1,
-                                 const float* x, float* out, int64_t lo,
-                                 int64_t hi) const {
-  switch (op) {
-    case EwiseUnaryOp::kAddScalar:
-      for (int64_t i = lo; i < hi; ++i) out[i] = x[i] + p0;
-      break;
-    case EwiseUnaryOp::kMulScalar:
-      for (int64_t i = lo; i < hi; ++i) out[i] = x[i] * p0;
-      break;
-    case EwiseUnaryOp::kRelu:
-      for (int64_t i = lo; i < hi; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      break;
-    case EwiseUnaryOp::kLeakyRelu:
-      for (int64_t i = lo; i < hi; ++i) {
-        out[i] = x[i] > 0.0f ? x[i] : p0 * x[i];
-      }
-      break;
-    case EwiseUnaryOp::kSigmoid:
-      for (int64_t i = lo; i < hi; ++i) {
-        // Stable in both tails.
-        if (x[i] >= 0.0f) {
-          out[i] = 1.0f / (1.0f + std::exp(-x[i]));
-        } else {
-          const float e = std::exp(x[i]);
-          out[i] = e / (1.0f + e);
-        }
-      }
-      break;
-    case EwiseUnaryOp::kTanh:
-      for (int64_t i = lo; i < hi; ++i) out[i] = std::tanh(x[i]);
-      break;
-    case EwiseUnaryOp::kExp:
-      for (int64_t i = lo; i < hi; ++i) out[i] = std::exp(x[i]);
-      break;
-    case EwiseUnaryOp::kLog:
-      for (int64_t i = lo; i < hi; ++i) out[i] = std::log(x[i]);
-      break;
-    case EwiseUnaryOp::kSqrt:
-      for (int64_t i = lo; i < hi; ++i) out[i] = std::sqrt(x[i]);
-      break;
-    case EwiseUnaryOp::kAbs:
-      for (int64_t i = lo; i < hi; ++i) out[i] = std::abs(x[i]);
-      break;
-    case EwiseUnaryOp::kPow:
-      for (int64_t i = lo; i < hi; ++i) out[i] = std::pow(x[i], p0);
-      break;
-    case EwiseUnaryOp::kClamp:
-      for (int64_t i = lo; i < hi; ++i) {
-        out[i] = std::min(std::max(x[i], p0), p1);
-      }
-      break;
-  }
-}
-
-void CpuBackend::EwiseUnaryGradChunk(EwiseUnaryOp op, float p0, float p1,
-                                     const float* y, const float* x,
-                                     const float* gy, float* gx, int64_t lo,
-                                     int64_t hi) const {
-  switch (op) {
-    case EwiseUnaryOp::kAddScalar:
-      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i];
-      break;
-    case EwiseUnaryOp::kMulScalar:
-      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * p0;
-      break;
-    case EwiseUnaryOp::kRelu:
-      for (int64_t i = lo; i < hi; ++i) {
-        gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : 0.0f);
-      }
-      break;
-    case EwiseUnaryOp::kLeakyRelu:
-      for (int64_t i = lo; i < hi; ++i) {
-        gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : p0);
-      }
-      break;
-    case EwiseUnaryOp::kSigmoid:
-      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * (y[i] * (1.0f - y[i]));
-      break;
-    case EwiseUnaryOp::kTanh:
-      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * (1.0f - y[i] * y[i]);
-      break;
-    case EwiseUnaryOp::kExp:
-      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * y[i];
-      break;
-    case EwiseUnaryOp::kLog:
-      for (int64_t i = lo; i < hi; ++i) gx[i] += gy[i] * (1.0f / x[i]);
-      break;
-    case EwiseUnaryOp::kSqrt:
-      for (int64_t i = lo; i < hi; ++i) {
-        gx[i] += gy[i] * (0.5f / std::max(y[i], 1e-12f));
-      }
-      break;
-    case EwiseUnaryOp::kAbs:
-      for (int64_t i = lo; i < hi; ++i) {
-        gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : (x[i] < 0.0f ? -1.0f : 0.0f));
-      }
-      break;
-    case EwiseUnaryOp::kPow:
-      for (int64_t i = lo; i < hi; ++i) {
-        gx[i] += gy[i] * (p0 * std::pow(x[i], p0 - 1.0f));
-      }
-      break;
-    case EwiseUnaryOp::kClamp:
-      for (int64_t i = lo; i < hi; ++i) {
-        gx[i] += gy[i] * ((x[i] >= p0 && x[i] <= p1) ? 1.0f : 0.0f);
-      }
-      break;
   }
 }
 

@@ -8,16 +8,18 @@
 // Contract: with fast-math OFF (the default), every backend must produce
 // bit-identical results to the scalar reference at any thread count — the
 // AVX2 backend therefore only vectorizes kernels whose per-element operation
-// sequence is preserved exactly (per-lane mul-then-add, division, min/max),
-// and falls back to the scalar path where vectorization would reassociate a
-// reduction (GemmNT dot products, Reduce). `SetFastMath(true)` opts into
-// FMA-fused and vector-reassociated variants that are still deterministic
-// for a fixed chunk layout but differ from scalar within documented
-// tolerances (see docs/kernels.md and tests/kernel_backend_test.cc).
+// sequence is preserved exactly (per-lane mul-then-add), and falls back to
+// the scalar path where vectorization would reassociate a reduction (GemmNT
+// dot products, Reduce). `SetFastMath(true)` opts into FMA-fused and
+// vector-reassociated variants that are still deterministic for a fixed
+// chunk layout but differ from scalar within documented tolerances (see
+// docs/kernels.md and tests/kernel_backend_test.cc).
 //
 // Threading: the public entry points own the ParallelFor chunking (same
-// grain discipline ops.cc always used); subclasses override per-chunk hooks
-// and never see the thread count.
+// grain discipline ops.cc always used); subclasses override the GEMM, SpMM
+// and Reduce per-chunk hooks and never see the thread count. The
+// elementwise families have no hook: they are memory-bound, the compiler
+// vectorizes the one shared implementation, and every backend runs it.
 #ifndef FAIRWOS_TENSOR_BACKEND_H_
 #define FAIRWOS_TENSOR_BACKEND_H_
 
@@ -108,8 +110,8 @@ class KernelBackend {
 };
 
 /// Shared CPU skeleton: implements every public entry point with the
-/// repo-standard ParallelFor chunking and routes the chunk bodies through
-/// protected virtual hooks. The hooks' default implementations ARE the
+/// repo-standard ParallelFor chunking. The GEMM, SpMM and Reduce chunk
+/// bodies are protected virtual hooks whose default implementations ARE the
 /// scalar reference kernels; vector backends override only the hooks whose
 /// vectorization preserves bit-identity (or is gated on fast-math).
 class CpuBackend : public KernelBackend {
@@ -153,20 +155,6 @@ class CpuBackend : public KernelBackend {
   virtual void SpmmChunk(const int64_t* row_ptr, const int64_t* col_idx,
                          const float* values, int64_t lo, int64_t hi,
                          const float* x, int64_t x_cols, float* y) const;
-  virtual void EwiseBinaryChunk(EwiseBinaryOp op, const float* a,
-                                const float* b, float* out, int64_t lo,
-                                int64_t hi) const;
-  virtual void EwiseBinaryGradChunk(EwiseBinaryOp op, int input,
-                                    const float* y, const float* gy,
-                                    const float* a, const float* b, float* gx,
-                                    int64_t lo, int64_t hi) const;
-  virtual void EwiseUnaryChunk(EwiseUnaryOp op, float p0, float p1,
-                               const float* x, float* out, int64_t lo,
-                               int64_t hi) const;
-  virtual void EwiseUnaryGradChunk(EwiseUnaryOp op, float p0, float p1,
-                                   const float* y, const float* x,
-                                   const float* gy, float* gx, int64_t lo,
-                                   int64_t hi) const;
   /// One kElemGrain-sized partial; the base class combines partials in
   /// chunk order.
   virtual double ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
@@ -180,9 +168,10 @@ class ScalarBackend final : public CpuBackend {
 };
 
 /// AVX2/FMA backend (hooks defined in backend_avx2.cc, compiled with
-/// -mavx2 -mfma). With fast-math off it only overrides the hooks proved
-/// bit-identical to scalar; with fast-math on it additionally fuses
-/// multiply-add and vectorizes the reassociating reductions.
+/// -mavx2 -mfma). With fast-math off, GemmNN, GemmTN and SpMM are
+/// vectorized bit-identically to scalar, and GemmNT and Reduce run the
+/// scalar hooks; with fast-math on it additionally fuses multiply-add and
+/// vectorizes GemmNT and Reduce.
 class Avx2Backend final : public CpuBackend {
  public:
   const char* name() const override { return "avx2"; }
@@ -197,16 +186,6 @@ class Avx2Backend final : public CpuBackend {
   void SpmmChunk(const int64_t* row_ptr, const int64_t* col_idx,
                  const float* values, int64_t lo, int64_t hi, const float* x,
                  int64_t x_cols, float* y) const override;
-  void EwiseBinaryChunk(EwiseBinaryOp op, const float* a, const float* b,
-                        float* out, int64_t lo, int64_t hi) const override;
-  void EwiseBinaryGradChunk(EwiseBinaryOp op, int input, const float* y,
-                            const float* gy, const float* a, const float* b,
-                            float* gx, int64_t lo, int64_t hi) const override;
-  void EwiseUnaryChunk(EwiseUnaryOp op, float p0, float p1, const float* x,
-                       float* out, int64_t lo, int64_t hi) const override;
-  void EwiseUnaryGradChunk(EwiseUnaryOp op, float p0, float p1,
-                           const float* y, const float* x, const float* gy,
-                           float* gx, int64_t lo, int64_t hi) const override;
   double ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
                      int64_t hi) const override;
 };

@@ -3,13 +3,16 @@
 // unless runtime CPUID dispatch selected the backend, so the rest of the
 // binary stays runnable on any x86-64.
 //
+// Only GEMM, SpMM and Reduce have hooks here; the elementwise families run
+// the shared CpuBackend code in every backend (see tensor/backend.h).
+//
 // Bit-identity discipline (docs/kernels.md): with fast-math OFF every hook
 // below performs, per output element, exactly the operation sequence of the
-// scalar reference — separate mul-then-add (no FMA fusion), identical
-// zero-skips, and min/max operand orders chosen to reproduce scalar
-// NaN/signed-zero behaviour. Kernels whose vectorization would reassociate
-// a reduction (GemmNT dot products, Reduce) delegate to the scalar hook
-// unless fast-math is on.
+// scalar reference — separate mul-then-add (no FMA fusion) and identical
+// zero-skips. Kernels whose vectorization would reassociate a reduction
+// (GemmNT dot products, Reduce) delegate to the scalar hook unless
+// fast-math is on. Tensor data is always read and written with unaligned
+// loadu/storeu, so no hook depends on storage alignment.
 
 #include "tensor/backend.h"
 
@@ -18,7 +21,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 
 namespace fairwos::tensor {
 namespace {
@@ -129,10 +131,6 @@ float DotFma(const float* a, const float* b, int64_t m) {
   return r;
 }
 
-inline __m256 OnesMaskTo1f(__m256 mask) {
-  return _mm256_and_ps(mask, _mm256_set1_ps(1.0f));
-}
-
 }  // namespace
 
 void Avx2Backend::GemmNNChunk(const float* a, const float* b, float* c,
@@ -189,303 +187,6 @@ void Avx2Backend::SpmmChunk(const int64_t* row_ptr, const int64_t* col_idx,
   }
 }
 
-void Avx2Backend::EwiseBinaryChunk(EwiseBinaryOp op, const float* a,
-                                   const float* b, float* out, int64_t lo,
-                                   int64_t hi) const {
-  int64_t i = lo;
-  switch (op) {
-    case EwiseBinaryOp::kAdd:
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      }
-      for (; i < hi; ++i) out[i] = a[i] + b[i];
-      break;
-    case EwiseBinaryOp::kSub:
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      }
-      for (; i < hi; ++i) out[i] = a[i] - b[i];
-      break;
-    case EwiseBinaryOp::kMul:
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      }
-      for (; i < hi; ++i) out[i] = a[i] * b[i];
-      break;
-    case EwiseBinaryOp::kDiv:
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_div_ps(_mm256_loadu_ps(a + i),
-                                                _mm256_loadu_ps(b + i)));
-      }
-      for (; i < hi; ++i) out[i] = a[i] / b[i];
-      break;
-  }
-}
-
-void Avx2Backend::EwiseBinaryGradChunk(EwiseBinaryOp op, int input,
-                                       const float* y, const float* gy,
-                                       const float* a, const float* b,
-                                       float* gx, int64_t lo,
-                                       int64_t hi) const {
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = lo;
-  switch (op) {
-    case EwiseBinaryOp::kAdd:
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i),
-                                               _mm256_loadu_ps(gy + i)));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i];
-      break;
-    case EwiseBinaryOp::kSub:
-      if (input == 0) {
-        for (; i + 8 <= hi; i += 8) {
-          _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i),
-                                                 _mm256_loadu_ps(gy + i)));
-        }
-        for (; i < hi; ++i) gx[i] += gy[i];
-      } else {
-        for (; i + 8 <= hi; i += 8) {
-          const __m256 ng = _mm256_xor_ps(_mm256_loadu_ps(gy + i), sign);
-          _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), ng));
-        }
-        for (; i < hi; ++i) gx[i] += -gy[i];
-      }
-      break;
-    case EwiseBinaryOp::kMul: {
-      const float* other = input == 0 ? b : a;
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 t = _mm256_mul_ps(_mm256_loadu_ps(gy + i),
-                                       _mm256_loadu_ps(other + i));
-        _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), t));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i] * other[i];
-      break;
-    }
-    case EwiseBinaryOp::kDiv:
-      if (input == 0) {
-        for (; i + 8 <= hi; i += 8) {
-          const __m256 t = _mm256_div_ps(_mm256_loadu_ps(gy + i),
-                                         _mm256_loadu_ps(b + i));
-          _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), t));
-        }
-        for (; i < hi; ++i) gx[i] += gy[i] / b[i];
-      } else {
-        // (-gy) * y / b, the scalar evaluation order.
-        for (; i + 8 <= hi; i += 8) {
-          const __m256 ng = _mm256_xor_ps(_mm256_loadu_ps(gy + i), sign);
-          const __m256 t = _mm256_div_ps(
-              _mm256_mul_ps(ng, _mm256_loadu_ps(y + i)),
-              _mm256_loadu_ps(b + i));
-          _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), t));
-        }
-        for (; i < hi; ++i) gx[i] += -gy[i] * y[i] / b[i];
-      }
-      break;
-  }
-}
-
-void Avx2Backend::EwiseUnaryChunk(EwiseUnaryOp op, float p0, float p1,
-                                  const float* x, float* out, int64_t lo,
-                                  int64_t hi) const {
-  int64_t i = lo;
-  switch (op) {
-    case EwiseUnaryOp::kAddScalar: {
-      const __m256 vs = _mm256_set1_ps(p0);
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(x + i), vs));
-      }
-      for (; i < hi; ++i) out[i] = x[i] + p0;
-      return;
-    }
-    case EwiseUnaryOp::kMulScalar: {
-      const __m256 vs = _mm256_set1_ps(p0);
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
-      }
-      for (; i < hi; ++i) out[i] = x[i] * p0;
-      return;
-    }
-    case EwiseUnaryOp::kRelu: {
-      // max_ps(x, 0): returns the SECOND operand when x is NaN or -0, which
-      // matches the scalar `x > 0 ? x : 0.0f`.
-      const __m256 z = _mm256_setzero_ps();
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(x + i), z));
-      }
-      for (; i < hi; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      return;
-    }
-    case EwiseUnaryOp::kLeakyRelu: {
-      const __m256 z = _mm256_setzero_ps();
-      const __m256 vs = _mm256_set1_ps(p0);
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 v = _mm256_loadu_ps(x + i);
-        const __m256 mask = _mm256_cmp_ps(v, z, _CMP_GT_OQ);
-        _mm256_storeu_ps(out + i,
-                         _mm256_blendv_ps(_mm256_mul_ps(vs, v), v, mask));
-      }
-      for (; i < hi; ++i) out[i] = x[i] > 0.0f ? x[i] : p0 * x[i];
-      return;
-    }
-    case EwiseUnaryOp::kSqrt:
-      // IEEE requires correctly rounded sqrt, so _mm256_sqrt_ps is
-      // bit-identical to std::sqrt.
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_sqrt_ps(_mm256_loadu_ps(x + i)));
-      }
-      for (; i < hi; ++i) out[i] = std::sqrt(x[i]);
-      return;
-    case EwiseUnaryOp::kAbs: {
-      const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(out + i, _mm256_and_ps(_mm256_loadu_ps(x + i), mask));
-      }
-      for (; i < hi; ++i) out[i] = std::abs(x[i]);
-      return;
-    }
-    case EwiseUnaryOp::kClamp: {
-      // max(lo_vec, x) then min(hi_vec, ·), operand orders chosen so a NaN
-      // input propagates exactly like std::min(std::max(x, lo), hi).
-      const __m256 vlo = _mm256_set1_ps(p0);
-      const __m256 vhi = _mm256_set1_ps(p1);
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 m = _mm256_max_ps(vlo, _mm256_loadu_ps(x + i));
-        _mm256_storeu_ps(out + i, _mm256_min_ps(vhi, m));
-      }
-      for (; i < hi; ++i) out[i] = std::min(std::max(x[i], p0), p1);
-      return;
-    }
-    case EwiseUnaryOp::kSigmoid:
-    case EwiseUnaryOp::kTanh:
-    case EwiseUnaryOp::kExp:
-    case EwiseUnaryOp::kLog:
-    case EwiseUnaryOp::kPow:
-      // Transcendentals stay on libm in every backend: a vector polynomial
-      // approximation could not be bit-identical to the reference.
-      CpuBackend::EwiseUnaryChunk(op, p0, p1, x, out, lo, hi);
-      return;
-  }
-}
-
-void Avx2Backend::EwiseUnaryGradChunk(EwiseUnaryOp op, float p0, float p1,
-                                      const float* y, const float* x,
-                                      const float* gy, float* gx, int64_t lo,
-                                      int64_t hi) const {
-  const __m256 ones = _mm256_set1_ps(1.0f);
-  const __m256 z = _mm256_setzero_ps();
-  // Every case below materialises df exactly as the scalar hook computes it
-  // and then applies gx += gy * df lane-wise (mul then add, no fusion).
-  const auto accumulate = [&](int64_t i, __m256 df) {
-    const __m256 t = _mm256_mul_ps(_mm256_loadu_ps(gy + i), df);
-    _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i), t));
-  };
-  int64_t i = lo;
-  switch (op) {
-    case EwiseUnaryOp::kAddScalar:
-      for (; i + 8 <= hi; i += 8) {
-        _mm256_storeu_ps(gx + i, _mm256_add_ps(_mm256_loadu_ps(gx + i),
-                                               _mm256_loadu_ps(gy + i)));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i];
-      return;
-    case EwiseUnaryOp::kMulScalar: {
-      const __m256 vs = _mm256_set1_ps(p0);
-      for (; i + 8 <= hi; i += 8) accumulate(i, vs);
-      for (; i < hi; ++i) gx[i] += gy[i] * p0;
-      return;
-    }
-    case EwiseUnaryOp::kRelu:
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 mask = _mm256_cmp_ps(_mm256_loadu_ps(x + i), z,
-                                          _CMP_GT_OQ);
-        accumulate(i, OnesMaskTo1f(mask));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : 0.0f);
-      return;
-    case EwiseUnaryOp::kLeakyRelu: {
-      const __m256 vs = _mm256_set1_ps(p0);
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 mask = _mm256_cmp_ps(_mm256_loadu_ps(x + i), z,
-                                          _CMP_GT_OQ);
-        accumulate(i, _mm256_blendv_ps(vs, ones, mask));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : p0);
-      return;
-    }
-    case EwiseUnaryOp::kSigmoid:
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 vy = _mm256_loadu_ps(y + i);
-        accumulate(i, _mm256_mul_ps(vy, _mm256_sub_ps(ones, vy)));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i] * (y[i] * (1.0f - y[i]));
-      return;
-    case EwiseUnaryOp::kTanh:
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 vy = _mm256_loadu_ps(y + i);
-        accumulate(i, _mm256_sub_ps(ones, _mm256_mul_ps(vy, vy)));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i] * (1.0f - y[i] * y[i]);
-      return;
-    case EwiseUnaryOp::kExp:
-      for (; i + 8 <= hi; i += 8) accumulate(i, _mm256_loadu_ps(y + i));
-      for (; i < hi; ++i) gx[i] += gy[i] * y[i];
-      return;
-    case EwiseUnaryOp::kLog:
-      for (; i + 8 <= hi; i += 8) {
-        accumulate(i, _mm256_div_ps(ones, _mm256_loadu_ps(x + i)));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i] * (1.0f / x[i]);
-      return;
-    case EwiseUnaryOp::kSqrt: {
-      const __m256 half = _mm256_set1_ps(0.5f);
-      const __m256 eps = _mm256_set1_ps(1e-12f);
-      for (; i + 8 <= hi; i += 8) {
-        // max_ps(eps, y) keeps a NaN y, matching std::max(y, 1e-12f).
-        const __m256 m = _mm256_max_ps(eps, _mm256_loadu_ps(y + i));
-        accumulate(i, _mm256_div_ps(half, m));
-      }
-      for (; i < hi; ++i) gx[i] += gy[i] * (0.5f / std::max(y[i], 1e-12f));
-      return;
-    }
-    case EwiseUnaryOp::kAbs: {
-      const __m256 neg_ones = _mm256_set1_ps(-1.0f);
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 v = _mm256_loadu_ps(x + i);
-        const __m256 pos = _mm256_and_ps(_mm256_cmp_ps(v, z, _CMP_GT_OQ),
-                                         ones);
-        const __m256 neg = _mm256_and_ps(_mm256_cmp_ps(v, z, _CMP_LT_OQ),
-                                         neg_ones);
-        accumulate(i, _mm256_or_ps(pos, neg));
-      }
-      for (; i < hi; ++i) {
-        gx[i] += gy[i] * (x[i] > 0.0f ? 1.0f : (x[i] < 0.0f ? -1.0f : 0.0f));
-      }
-      return;
-    }
-    case EwiseUnaryOp::kClamp: {
-      const __m256 vlo = _mm256_set1_ps(p0);
-      const __m256 vhi = _mm256_set1_ps(p1);
-      for (; i + 8 <= hi; i += 8) {
-        const __m256 v = _mm256_loadu_ps(x + i);
-        const __m256 mask = _mm256_and_ps(_mm256_cmp_ps(v, vlo, _CMP_GE_OQ),
-                                          _mm256_cmp_ps(v, vhi, _CMP_LE_OQ));
-        accumulate(i, OnesMaskTo1f(mask));
-      }
-      for (; i < hi; ++i) {
-        gx[i] += gy[i] * ((x[i] >= p0 && x[i] <= p1) ? 1.0f : 0.0f);
-      }
-      return;
-    }
-    case EwiseUnaryOp::kPow:
-      CpuBackend::EwiseUnaryGradChunk(op, p0, p1, y, x, gy, gx, lo, hi);
-      return;
-  }
-}
-
 double Avx2Backend::ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
                                 int64_t hi) const {
   if (!FastMathEnabled()) {
@@ -538,29 +239,6 @@ void Avx2Backend::SpmmChunk(const int64_t* row_ptr, const int64_t* col_idx,
                             const float* values, int64_t lo, int64_t hi,
                             const float* x, int64_t x_cols, float* y) const {
   CpuBackend::SpmmChunk(row_ptr, col_idx, values, lo, hi, x, x_cols, y);
-}
-void Avx2Backend::EwiseBinaryChunk(EwiseBinaryOp op, const float* a,
-                                   const float* b, float* out, int64_t lo,
-                                   int64_t hi) const {
-  CpuBackend::EwiseBinaryChunk(op, a, b, out, lo, hi);
-}
-void Avx2Backend::EwiseBinaryGradChunk(EwiseBinaryOp op, int input,
-                                       const float* y, const float* gy,
-                                       const float* a, const float* b,
-                                       float* gx, int64_t lo,
-                                       int64_t hi) const {
-  CpuBackend::EwiseBinaryGradChunk(op, input, y, gy, a, b, gx, lo, hi);
-}
-void Avx2Backend::EwiseUnaryChunk(EwiseUnaryOp op, float p0, float p1,
-                                  const float* x, float* out, int64_t lo,
-                                  int64_t hi) const {
-  CpuBackend::EwiseUnaryChunk(op, p0, p1, x, out, lo, hi);
-}
-void Avx2Backend::EwiseUnaryGradChunk(EwiseUnaryOp op, float p0, float p1,
-                                      const float* y, const float* x,
-                                      const float* gy, float* gx, int64_t lo,
-                                      int64_t hi) const {
-  CpuBackend::EwiseUnaryGradChunk(op, p0, p1, y, x, gy, gx, lo, hi);
 }
 double Avx2Backend::ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
                                 int64_t hi) const {

@@ -13,17 +13,52 @@
 #ifndef FAIRWOS_TENSOR_TENSOR_H_
 #define FAIRWOS_TENSOR_TENSOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "tensor/arena.h"
 
 namespace fairwos::tensor {
+
+/// Alignment of tensor storage: one cache line, one 512-bit vector.
+inline constexpr size_t kTensorAlignment = 64;
+
+/// Stateless STL allocator returning kTensorAlignment-aligned storage.
+template <typename T>
+struct AlignedAllocator {
+  using value_type = T;
+
+  AlignedAllocator() noexcept = default;
+  template <typename U>
+  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}  // NOLINT
+
+  T* allocate(size_t n) {
+    // aligned_alloc wants a non-zero multiple of the alignment.
+    const size_t bytes =
+        (n * sizeof(T) + kTensorAlignment - 1) & ~(kTensorAlignment - 1);
+    void* p = std::aligned_alloc(kTensorAlignment,
+                                 bytes == 0 ? kTensorAlignment : bytes);
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, size_t) noexcept { std::free(p); }
+
+  template <typename U>
+  bool operator==(const AlignedAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// The storage type behind TensorImpl::data: vector semantics, 64-byte
+/// aligned.
+using FloatBuffer = std::vector<float, AlignedAllocator<float>>;
 
 /// Tensor dimensions; rank 1 and 2 are what the library uses in practice.
 using Shape = std::vector<int64_t>;
@@ -42,8 +77,7 @@ namespace internal {
 /// user code goes through Tensor.
 struct TensorImpl {
   Shape shape;
-  // 64-byte-aligned, arena-backed inside an ArenaScope (tensor/arena.h).
-  FloatBuffer data;
+  FloatBuffer data;  // 64-byte aligned
   bool requires_grad = false;
   std::vector<float> grad;  // allocated lazily, same length as data
 
@@ -88,7 +122,7 @@ class Tensor {
   static Tensor Ones(Shape shape);
   static Tensor Full(Shape shape, float value);
 
-  /// Takes ownership of `values`; size must match the shape.
+  /// Copies `values` into aligned storage; size must match the shape.
   static Tensor FromVector(Shape shape, std::vector<float> values);
 
   /// A scalar (shape [1]).
@@ -107,7 +141,7 @@ class Tensor {
   int64_t rank() const { return static_cast<int64_t>(impl().shape.size()); }
   int64_t numel() const { return static_cast<int64_t>(impl().data.size()); }
 
-  /// Raw row-major storage (64-byte aligned; see tensor/arena.h).
+  /// Raw row-major storage (64-byte aligned).
   const FloatBuffer& data() const { return impl().data; }
   FloatBuffer& mutable_data() { return impl().data; }
 

@@ -1,8 +1,10 @@
 // The kernel-backend determinism contract (docs/kernels.md): the scalar
 // and AVX2 backends must produce bytewise-identical results for every
-// non-reassociating entry point, at any thread count; the opt-in fast-math
-// kernels must stay within documented tolerances of the scalar reference.
-// Plus the arena allocator's alignment / reset / reuse / detach semantics.
+// entry point the AVX2 backend overrides (GEMM, SpMM, Reduce), at any
+// thread count; the opt-in fast-math kernels must stay within documented
+// tolerances of the scalar reference. The elementwise families run one
+// shared implementation in both backends, so they need no pair test.
+// Plus the 64-byte alignment of tensor storage.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,8 +15,8 @@
 #include "common/cpuid.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
-#include "tensor/arena.h"
 #include "tensor/backend.h"
+#include "tensor/tensor.h"
 
 namespace fairwos::tensor {
 namespace {
@@ -123,91 +125,6 @@ TEST_F(BackendPairTest, SpmmBitIdentical) {
   }
 }
 
-TEST_F(BackendPairTest, EwiseFamiliesBitIdentical) {
-  const int64_t n = 4099;  // not a multiple of 8: exercises the tails
-  const auto a = RandomVec(static_cast<size_t>(n), 8, true);
-  const auto b = RandomVec(static_cast<size_t>(n), 9, true);
-  const auto gy = RandomVec(static_cast<size_t>(n), 10, true);
-  for (int threads : {1, 8}) {
-    common::SetGlobalThreadCount(threads);
-    for (auto op : {EwiseBinaryOp::kAdd, EwiseBinaryOp::kSub,
-                    EwiseBinaryOp::kMul, EwiseBinaryOp::kDiv}) {
-      std::vector<float> y_scalar(static_cast<size_t>(n)), y_avx2(y_scalar);
-      GetScalarBackend().EwiseBinary(op, a.data(), b.data(), y_scalar.data(),
-                                     n);
-      avx2_->EwiseBinary(op, a.data(), b.data(), y_avx2.data(), n);
-      EXPECT_TRUE(BitEqual(y_scalar, y_avx2))
-          << "binary op " << static_cast<int>(op) << " @" << threads;
-      for (int input : {0, 1}) {
-        std::vector<float> gx_scalar(static_cast<size_t>(n), 0.125f);
-        std::vector<float> gx_avx2 = gx_scalar;
-        GetScalarBackend().EwiseBinaryGrad(op, input, y_scalar.data(),
-                                           gy.data(), a.data(), b.data(),
-                                           gx_scalar.data(), n);
-        avx2_->EwiseBinaryGrad(op, input, y_scalar.data(), gy.data(), a.data(),
-                               b.data(), gx_avx2.data(), n);
-        EXPECT_TRUE(BitEqual(gx_scalar, gx_avx2))
-            << "binary grad op " << static_cast<int>(op) << " input " << input
-            << " @" << threads;
-      }
-    }
-    struct UnaryCase {
-      EwiseUnaryOp op;
-      float p0, p1;
-    };
-    // Sqrt needs non-negative input; tested separately below.
-    for (UnaryCase uc : std::vector<UnaryCase>{
-             {EwiseUnaryOp::kAddScalar, 1.5f, 0.0f},
-             {EwiseUnaryOp::kMulScalar, -2.0f, 0.0f},
-             {EwiseUnaryOp::kRelu, 0.0f, 0.0f},
-             {EwiseUnaryOp::kLeakyRelu, 0.2f, 0.0f},
-             {EwiseUnaryOp::kSigmoid, 0.0f, 0.0f},
-             {EwiseUnaryOp::kTanh, 0.0f, 0.0f},
-             {EwiseUnaryOp::kExp, 0.0f, 0.0f},
-             {EwiseUnaryOp::kAbs, 0.0f, 0.0f},
-             {EwiseUnaryOp::kClamp, -0.5f, 0.5f}}) {
-      std::vector<float> y_scalar(static_cast<size_t>(n)), y_avx2(y_scalar);
-      GetScalarBackend().EwiseUnary(uc.op, uc.p0, uc.p1, a.data(),
-                                    y_scalar.data(), n);
-      avx2_->EwiseUnary(uc.op, uc.p0, uc.p1, a.data(), y_avx2.data(), n);
-      EXPECT_TRUE(BitEqual(y_scalar, y_avx2))
-          << "unary op " << static_cast<int>(uc.op) << " @" << threads;
-      std::vector<float> gx_scalar(static_cast<size_t>(n), 0.25f);
-      std::vector<float> gx_avx2 = gx_scalar;
-      GetScalarBackend().EwiseUnaryGrad(uc.op, uc.p0, uc.p1, y_scalar.data(),
-                                        a.data(), gy.data(), gx_scalar.data(),
-                                        n);
-      avx2_->EwiseUnaryGrad(uc.op, uc.p0, uc.p1, y_scalar.data(), a.data(),
-                            gy.data(), gx_avx2.data(), n);
-      EXPECT_TRUE(BitEqual(gx_scalar, gx_avx2))
-          << "unary grad op " << static_cast<int>(uc.op) << " @" << threads;
-    }
-  }
-}
-
-TEST_F(BackendPairTest, SqrtBitIdentical) {
-  // _mm256_sqrt_ps is IEEE correctly rounded, so SIMD sqrt must match libm
-  // bit for bit.
-  const int64_t n = 1023;
-  auto a = RandomVec(static_cast<size_t>(n), 11, false);
-  for (auto& v : a) v = std::abs(v);
-  a[3] = 0.0f;
-  const auto gy = RandomVec(static_cast<size_t>(n), 12, false);
-  std::vector<float> y_scalar(static_cast<size_t>(n)), y_avx2(y_scalar);
-  GetScalarBackend().EwiseUnary(EwiseUnaryOp::kSqrt, 0, 0, a.data(),
-                                y_scalar.data(), n);
-  avx2_->EwiseUnary(EwiseUnaryOp::kSqrt, 0, 0, a.data(), y_avx2.data(), n);
-  EXPECT_TRUE(BitEqual(y_scalar, y_avx2));
-  std::vector<float> gx_scalar(static_cast<size_t>(n), 0.0f);
-  std::vector<float> gx_avx2 = gx_scalar;
-  GetScalarBackend().EwiseUnaryGrad(EwiseUnaryOp::kSqrt, 0, 0,
-                                    y_scalar.data(), a.data(), gy.data(),
-                                    gx_scalar.data(), n);
-  avx2_->EwiseUnaryGrad(EwiseUnaryOp::kSqrt, 0, 0, y_scalar.data(), a.data(),
-                        gy.data(), gx_avx2.data(), n);
-  EXPECT_TRUE(BitEqual(gx_scalar, gx_avx2));
-}
-
 TEST_F(BackendPairTest, ReduceBitIdenticalAcrossBackendsAndThreads) {
   const int64_t n = 100003;
   const auto a = RandomVec(static_cast<size_t>(n), 13, true);
@@ -308,123 +225,22 @@ TEST(DispatchTest, SelectAvx2FailsCleanlyWithoutSupport) {
   }
 }
 
-// --- Arena -----------------------------------------------------------------
+// --- Storage alignment -----------------------------------------------------
 
-TEST(ArenaTest, AllocationsAre64ByteAligned) {
-  Arena arena;
-  ArenaScope scope(&arena);
-  for (size_t bytes : {1u, 7u, 64u, 100u, 4096u}) {
-    void* p = ArenaAllocate(bytes);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kArenaAlignment, 0u)
-        << bytes << " bytes";
-    ArenaDeallocate(p);
+TEST(TensorStorageTest, Is64ByteAligned) {
+  const auto aligned = [](const float* p) {
+    return reinterpret_cast<uintptr_t>(p) % kTensorAlignment == 0;
+  };
+  for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{16}, int64_t{1000},
+                    int64_t{1} << 20}) {
+    const FloatBuffer buffer(static_cast<size_t>(n), 1.0f);
+    EXPECT_TRUE(aligned(buffer.data())) << "FloatBuffer of " << n;
+    EXPECT_TRUE(aligned(Tensor::Zeros({n}).data().data())) << "Zeros " << n;
+    const Tensor t = Tensor::FromVector(
+        {n}, std::vector<float>(static_cast<size_t>(n), 2.5f));
+    EXPECT_TRUE(aligned(t.data().data())) << "FromVector " << n;
+    EXPECT_EQ(t.data().back(), 2.5f);
   }
-}
-
-TEST(ArenaTest, HeapFallbackIsAlsoAligned) {
-  ASSERT_EQ(CurrentThreadArena(), nullptr);
-  void* p = ArenaAllocate(100);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kArenaAlignment, 0u);
-  ArenaDeallocate(p);
-}
-
-TEST(ArenaTest, EpochResetReusesTheSameBlock) {
-  Arena arena;
-  ArenaScope scope(&arena);
-  void* first = ArenaAllocate(512);
-  ArenaDeallocate(first);
-  arena.EpochReset();
-  void* second = ArenaAllocate(512);
-  // Bump pointer rewound: the same slot is handed out again.
-  EXPECT_EQ(first, second);
-  ArenaDeallocate(second);
-  const Arena::Stats stats = arena.stats();
-  EXPECT_EQ(stats.blocks, 1u);
-  EXPECT_EQ(stats.epoch_resets, 1);
-  EXPECT_EQ(stats.allocations, 2);
-}
-
-TEST(ArenaTest, ResetWithLiveAllocationIsDeferred) {
-  Arena arena;
-  ArenaScope scope(&arena);
-  void* live = ArenaAllocate(256);
-  arena.EpochReset();  // must NOT rewind under `live`
-  EXPECT_EQ(arena.stats().deferred_resets, 1);
-  EXPECT_EQ(arena.stats().epoch_resets, 0);
-  void* after = ArenaAllocate(256);
-  EXPECT_NE(live, after);  // still bump-allocated past the live buffer
-  ArenaDeallocate(after);
-  ArenaDeallocate(live);  // last release runs the deferred reset
-  EXPECT_EQ(arena.stats().epoch_resets, 1);
-  void* reused = ArenaAllocate(256);
-  EXPECT_EQ(live, reused);
-  ArenaDeallocate(reused);
-}
-
-TEST(ArenaTest, OversizeRequestsFallBackToHeap) {
-  Arena arena(Arena::Options{/*block_bytes=*/4096});
-  ArenaScope scope(&arena);
-  void* big = ArenaAllocate(1 << 20);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(big) % kArenaAlignment, 0u);
-  std::memset(big, 0xab, 1 << 20);  // must be writable end to end
-  ArenaDeallocate(big);
-  EXPECT_EQ(arena.stats().oversize_allocs, 1);
-  EXPECT_EQ(arena.stats().allocations, 0);
-}
-
-TEST(ArenaTest, BufferOutlivesItsArena) {
-  FloatBuffer buffer;
-  {
-    Arena arena;
-    ArenaScope scope(&arena);
-    buffer.assign(1000, 2.5f);
-  }  // arena destroyed with `buffer` live: blocks must stay valid
-  for (float v : buffer) ASSERT_EQ(v, 2.5f);
-  buffer.clear();
-  buffer.shrink_to_fit();  // releases the detached arena's last block
-}
-
-TEST(ArenaTest, ScopesNestAndRestore) {
-  Arena outer, inner;
-  ASSERT_EQ(CurrentThreadArena(), nullptr);
-  {
-    ArenaScope a(&outer);
-    EXPECT_EQ(CurrentThreadArena(), &outer);
-    {
-      ArenaScope b(&inner);
-      EXPECT_EQ(CurrentThreadArena(), &inner);
-    }
-    EXPECT_EQ(CurrentThreadArena(), &outer);
-  }
-  EXPECT_EQ(CurrentThreadArena(), nullptr);
-}
-
-TEST(ArenaTest, FloatBufferRoutesThroughScopedArena) {
-  Arena arena;
-  size_t before, after;
-  {
-    ArenaScope scope(&arena);
-    before = arena.stats().bytes_in_use;
-    FloatBuffer buf(10000, 1.0f);
-    after = arena.stats().bytes_in_use;
-    EXPECT_GE(after - before, 10000 * sizeof(float));
-  }
-  EXPECT_EQ(arena.stats().live_allocations, 0);
-}
-
-TEST(ArenaTest, CrossScopeDeallocationRoutesToOwner) {
-  // Allocated under the arena, freed after the scope ended: the header
-  // routes the release back to the owning arena, not the heap.
-  Arena arena;
-  void* p = nullptr;
-  {
-    ArenaScope scope(&arena);
-    p = ArenaAllocate(128);
-  }
-  ASSERT_EQ(CurrentThreadArena(), nullptr);
-  ArenaDeallocate(p);
-  EXPECT_EQ(arena.stats().live_allocations, 0);
-  EXPECT_EQ(arena.stats().bytes_in_use, 0u);
 }
 
 }  // namespace

@@ -1863,8 +1863,8 @@ int OpsReport(const common::CliFlags& flags) {
 }
 
 /// `kernel-info`: which compute backend dispatch selected and why — CPU
-/// features, requested mode, fast-math state, arena configuration. With
-/// --json the same facts print as a single machine-readable object.
+/// features, requested mode and fast-math state. With --json the same facts
+/// print as a single machine-readable object.
 int KernelInfo(const common::CliFlags& flags) {
   if (common::Status status = ApplySimdFlags(flags); !status.ok()) {
     return Fail(status);
@@ -1873,12 +1873,10 @@ int KernelInfo(const common::CliFlags& flags) {
   if (flags.GetBool("json", false)) {
     std::printf(
         "{\"backend\":\"%s\",\"requested\":\"%s\",\"cpu_features\":\"%s\","
-        "\"avx2_supported\":%s,\"fast_math\":%s,"
-        "\"arena_alignment\":%zu,\"arena_block_bytes\":%zu}\n",
+        "\"avx2_supported\":%s,\"fast_math\":%s}\n",
         info.active.c_str(), info.requested_mode.c_str(),
         info.cpu_features.c_str(), info.avx2_supported ? "true" : "false",
-        info.fast_math ? "true" : "false", tensor::kArenaAlignment,
-        tensor::kArenaDefaultBlockBytes);
+        info.fast_math ? "true" : "false");
     return 0;
   }
   std::printf("backend:           %s\n", info.active.c_str());
@@ -1886,9 +1884,6 @@ int KernelInfo(const common::CliFlags& flags) {
   std::printf("cpu features:      %s\n", info.cpu_features.c_str());
   std::printf("avx2+fma capable:  %s\n", info.avx2_supported ? "yes" : "no");
   std::printf("fast-math:         %s\n", info.fast_math ? "on" : "off");
-  std::printf("arena alignment:   %zu bytes\n", tensor::kArenaAlignment);
-  std::printf("arena block size:  %zu bytes\n",
-              tensor::kArenaDefaultBlockBytes);
   return 0;
 }
 
