@@ -1,60 +1,21 @@
 // Shared GNN training loop for the baseline methods: cross-entropy on the
 // train split plus an optional differentiable penalty, with best-validation
-// checkpointing — the same protocol Fairwos' pre-training uses, so runtime
-// comparisons (Fig. 8) are apples-to-apples.
+// checkpointing. It runs core::TrainClassifierPhase, the loop Fairwos'
+// pre-training runs too, so runtime comparisons (Fig. 8) are
+// apples-to-apples.
 #ifndef FAIRWOS_BASELINES_TRAIN_UTIL_H_
 #define FAIRWOS_BASELINES_TRAIN_UTIL_H_
 
-#include <functional>
-
-#include "common/deadline.h"
 #include "core/fitted.h"
 #include "core/method.h"
+#include "core/train_loop.h"
 #include "data/dataset.h"
-#include "nn/checkpoint.h"
 #include "nn/gnn.h"
-#include "nn/guard.h"
 
 namespace fairwos::baselines {
 
-struct TrainOptions {
-  int64_t epochs = 300;
-  int64_t patience = 30;  // early stop on validation accuracy; <= 0 disables
-  float lr = 1e-3f;       // paper §V-A4: Adam, 0.001
-  float weight_decay = 5e-4f;
-  /// Rollback-and-retry policy on NaN/Inf divergence (docs/robustness.md).
-  nn::RecoveryConfig recovery;
-  /// Steady-state global-norm gradient clip; <= 0 disables until recovery.
-  float max_grad_norm = 0.0f;
-  /// Durable crash-resume (docs/resume.md): rotating phase-0 TrainState
-  /// checkpoints at epoch boundaries, and deterministic restart from the
-  /// newest valid one. Disabled while `checkpoint.dir` is empty.
-  nn::CheckpointOptions checkpoint;
-  /// Cooperative stop token polled at every epoch boundary; on expiry the
-  /// loop writes one final checkpoint (when checkpointing is enabled) and
-  /// TrainClassifier returns Status::DeadlineExceeded.
-  common::Deadline deadline;
-};
-
-/// Robustness diagnostics of one TrainClassifier run.
-struct TrainDiagnostics {
-  /// Divergence recoveries (rollback + lr halving) performed.
-  int64_t retries = 0;
-  /// True when the retry budget was exhausted and training stopped early;
-  /// the best-validation parameters seen so far are kept.
-  bool aborted = false;
-  /// True when the deadline expired and the loop stopped at an epoch
-  /// boundary (after the graceful final checkpoint, when enabled).
-  bool deadline_exceeded = false;
-  /// Crash-resume provenance (docs/resume.md).
-  bool resumed = false;
-  int64_t resume_epoch = 0;
-};
-
-/// Optional extra loss computed from the representation and logits of the
-/// current forward pass; return an undefined Tensor for "no penalty".
-using PenaltyFn = std::function<tensor::Tensor(const tensor::Tensor& h,
-                                               const tensor::Tensor& logits)>;
+using core::EvaluateAll, core::PenaltyFn, core::TrainDiagnostics,
+    core::TrainOptions, core::ValidationLoss;
 
 /// Trains `model` on `features`, minimising CE(train) [+ penalty], keeping
 /// the best-validation parameters. Steps are guarded: a NaN/Inf loss,
@@ -75,17 +36,6 @@ common::Result<int64_t> TrainClassifier(const TrainOptions& options,
                                         nn::GnnClassifier* model,
                                         common::Rng* rng,
                                         TrainDiagnostics* diag = nullptr);
-
-/// Evaluation-mode predictions for every node (the merged prediction type;
-/// only `pred` and `prob1` are filled here).
-nn::PredictionResult EvaluateAll(const nn::GnnClassifier& model,
-                                 const tensor::Tensor& x, common::Rng* rng);
-
-/// Cross-entropy of the model on the validation split (evaluation mode) —
-/// the early-stopping signal used across the repository.
-double ValidationLoss(const nn::GnnClassifier& model,
-                      const tensor::Tensor& features, const data::Dataset& ds,
-                      common::Rng* rng);
 
 /// The "difference of class logits" margin used by penalty terms:
 /// margin = logits · [−1, +1]ᵀ, shape [N, 1]. Differentiable.

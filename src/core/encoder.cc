@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/metrics.h"
+#include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "core/train_loop.h"
 #include "fairness/metrics.h"
+#include "nn/guard.h"
 #include "tensor/ops.h"
 
 namespace fairwos::core {
@@ -30,30 +34,36 @@ PretrainedEncoder::PretrainedEncoder(const EncoderConfig& config,
   auto snapshot = nn::SnapshotParameters(model);
   double best_val_loss = std::numeric_limits<double>::infinity();
   int64_t since_best = 0;
+  obs::WindowedHistogram* epoch_window =
+      obs::MetricsRegistry::Global().GetWindowed("train.window.epoch_ms");
+  obs::WindowedHistogram* grad_window =
+      obs::MetricsRegistry::Global().GetWindowed("train.window.grad_norm");
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     if (deadline != nullptr && deadline->Expired()) break;
     FW_TRACE_SPAN("encoder/pretrain_epoch");
+    common::Stopwatch epoch_watch;
     opt.ZeroGrad();
     tensor::Tensor logits = model.Forward(ds.features, /*training=*/true, &rng);
     tensor::Tensor loss =
         tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train);
     loss.Backward();
+    const double grad_norm = obs::TelemetryEnabled()
+                                 ? nn::GlobalGradNorm(model.parameters())
+                                 : 0.0;
     opt.Step();
 
     // Validation loss drives checkpointing (Eq. 5 is optimised on the
     // train split only).
-    tensor::NoGradGuard no_grad;
-    tensor::Tensor eval_logits =
-        model.Forward(ds.features, /*training=*/false, &rng);
-    const double val_loss =
-        tensor::SoftmaxCrossEntropy(eval_logits, ds.labels, ds.split.val)
-            .item();
+    const double val_loss = ValidationLoss(model, ds.features, ds, &rng);
+    epoch_window->Observe(epoch_watch.Millis());
     if (obs::TelemetryEnabled()) {
+      grad_window->Observe(grad_norm);
       obs::EmitEvent(obs::Event("epoch")
                          .Set("phase", "encoder")
                          .Set("epoch", epoch)
                          .Set("loss_cls", loss.item())
                          .Set("val_loss", val_loss)
+                         .Set("grad_norm", grad_norm)
                          .Set("lr", static_cast<double>(opt.lr())));
     }
     if (val_loss < best_val_loss) {
@@ -65,13 +75,8 @@ PretrainedEncoder::PretrainedEncoder(const EncoderConfig& config,
     }
   }
   nn::RestoreParameters(model, snapshot);
-  {
-    tensor::NoGradGuard no_grad;
-    auto result = nn::PredictFromLogits(
-        model.Forward(ds.features, /*training=*/false, &rng));
-    best_val_acc_ =
-        fairness::AccuracyPct(result.pred, ds.labels, ds.split.val);
-  }
+  best_val_acc_ = fairness::AccuracyPct(
+      EvaluateAll(model, ds.features, &rng).pred, ds.labels, ds.split.val);
 
   // Eq. 6: apply the frozen encoder as a feature extractor.
   tensor::NoGradGuard no_grad;

@@ -113,8 +113,8 @@ struct FairwosStats {
 /// Trains Fairwos once and freezes the result. Deterministic in (config,
 /// dataset, seed); with checkpointing enabled, a run interrupted at any
 /// epoch boundary and then resumed produces a bit-identical model.
-/// `stats` may be nullptr; it is also written on the DeadlineExceeded error
-/// path so callers can report how far the run got.
+/// `stats` may be nullptr; it is written on every path, errors included,
+/// so callers can report how far an interrupted run got.
 common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
     const FairwosConfig& config, const data::Dataset& ds, uint64_t seed,
     FairwosStats* stats);

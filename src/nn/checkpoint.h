@@ -161,7 +161,7 @@ class CheckpointRotation {
 };
 
 /// Crash-resume knobs shared by every resumable training loop
-/// (core::FairwosConfig, baselines::TrainOptions).
+/// (core::FairwosConfig, core::TrainOptions).
 struct CheckpointOptions {
   /// Directory for rotating TrainState checkpoints; empty disables the
   /// whole subsystem (zero overhead on the training loop).

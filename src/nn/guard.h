@@ -59,17 +59,11 @@ struct RecoveryConfig {
   double retry_clip_norm = 5.0;
 };
 
-/// Self-healing harness around one (model, optimizer) training loop:
-///
-///   SelfHealing healer(config.recovery, model, &opt, "fine-tune");
-///   for (epoch ...) {
-///     forward; loss.Backward();
-///     if (!healer.GuardedStep(loss.item())) {
-///       if (!healer.Recover()) { /* budget exhausted: degrade */ break; }
-///       continue;  // retry the epoch from the rolled-back parameters
-///     }
-///     healer.Commit();  // parameters are healthy: new last-known-good
-///   }
+/// Self-healing harness around one (model, optimizer) training loop. The
+/// training loops do not use it by hand: core::RunEpochs
+/// (core/train_loop.h) runs GuardedStep, then Recover on failure (retrying
+/// in the next epoch, or stopping once the budget is spent), then Commit
+/// on success, once per epoch.
 class SelfHealing {
  public:
   /// Snapshots the model's current parameters as the initial last-good

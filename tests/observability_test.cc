@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "common/string_util.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "core/fairwos.h"
 #include "data/synthetic.h"
 #include "eval/harness.h"
 
@@ -465,46 +468,133 @@ TEST(HarnessTelemetryTest, RunRepeatedEmitsTrialEvents) {
   EXPECT_EQ(failed, 2);
 }
 
+/// The keys of an event's JSON object, "event" included.
+std::set<std::string> EventKeys(const obs::Event& event) {
+  std::set<std::string> keys;
+  const std::string json = event.ToJson();
+  size_t pos = 0;
+  while ((pos = json.find('"', pos)) != std::string::npos) {
+    const size_t end = json.find('"', pos + 1);
+    if (end == std::string::npos) break;
+    if (json.compare(end + 1, 1, ":") == 0) {
+      keys.insert(json.substr(pos + 1, end - pos - 1));
+    }
+    pos = end + 1;
+  }
+  return keys;
+}
+
 TEST(HarnessTelemetryTest, TrainingEmitsEpochEventsAndSpans) {
   auto ds = data::MakeDataset("toy", {}).value();
   baselines::MethodOptions options;
   options.train.epochs = 5;
   options.train.patience = 0;
   auto method = baselines::MakeMethod("vanilla", options).value();
+  core::FairwosConfig config;
+  config.encoder.epochs = 3;
+  config.pretrain_epochs = 4;
+  config.pretrain_patience = 0;
+  config.finetune_epochs = 3;
+  config.gnn.hidden = 8;
 
   obs::CollectingSink sink;
   obs::SetEventSink(&sink);
   obs::TraceRecorder::Global().Clear();
   obs::TraceRecorder::Global().Enable();
   auto result = eval::RunTrial(method.get(), ds, /*seed=*/1);
+  auto fairwos = core::TrainFairwos(config, ds, /*seed=*/1, nullptr);
   obs::TraceRecorder::Global().Disable();
   obs::SetEventSink(nullptr);
   ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(fairwos.ok()) << fairwos.status().ToString();
 
+  // Each phase's epoch events carry exactly these fields. The encoder's
+  // grad_norm is checked separately (EncoderTelemetryTest).
+  const std::set<std::string> common_keys = {"event", "phase", "epoch"};
+  const std::map<std::string, std::set<std::string>> phase_keys = {
+      {"baseline",
+       {"loss_total", "loss_cls", "loss_penalty", "val_loss", "grad_norm",
+        "lr"}},
+      {"encoder", {"loss_cls", "val_loss", "lr"}},
+      {"pretrain", {"loss_cls", "val_loss", "grad_norm", "lr"}},
+      {"finetune",
+       {"loss_total", "loss_cls", "loss_fair", "mean_distance", "grad_norm",
+        "lr", "val_acc"}},
+  };
+  std::map<std::string, int> epoch_events;
+  for (const auto& e : sink.events()) {
+    if (e.name() != "epoch") continue;
+    const std::string phase = e.GetString("phase");
+    ++epoch_events[phase];
+    ASSERT_EQ(phase_keys.count(phase), 1u) << phase;
+    std::set<std::string> expected = phase_keys.at(phase);
+    expected.insert(common_keys.begin(), common_keys.end());
+    std::set<std::string> keys = EventKeys(e);
+    if (phase == "encoder") keys.erase("grad_norm");
+    EXPECT_EQ(keys, expected) << e.ToJson();
+  }
+  EXPECT_EQ(epoch_events["baseline"], 5);
+  EXPECT_EQ(epoch_events["encoder"], 3);
+  EXPECT_EQ(epoch_events["pretrain"], 4);
+  EXPECT_EQ(epoch_events["finetune"], 3);
+
+  // The spans bench/e2e reads, plus the baseline's.
+  std::set<std::string> seen;
+  const std::vector<std::string> guarded_epochs = {
+      "baseline/train_epoch", "fairwos/pretrain_epoch",
+      "fairwos/finetune_epoch"};
+  std::map<std::string, int> steps_under;
+  for (const auto& ev : obs::TraceRecorder::Global().snapshot()) {
+    seen.insert(ev.name);
+    if (ev.name != "optimizer/step") continue;
+    // Optimizer steps nest inside a per-epoch span.
+    bool nested = ev.path.find("encoder/pretrain_epoch>") != std::string::npos;
+    for (const std::string& span : guarded_epochs) {
+      if (ev.path.find(span + ">") != std::string::npos) {
+        ++steps_under[span];
+        nested = true;
+      }
+    }
+    EXPECT_TRUE(nested) << ev.path;
+  }
+  obs::TraceRecorder::Global().Clear();
+  for (const char* span :
+       {"baseline/train", "baseline/train_epoch", "fairwos/encoder_pretrain",
+        "fairwos/classifier_pretrain", "fairwos/pretrain_epoch",
+        "fairwos/finetune", "fairwos/finetune_epoch",
+        "fairwos/counterfactual_search", "encoder/pretrain_epoch",
+        "optimizer/step"}) {
+    EXPECT_EQ(seen.count(span), 1u) << span;
+  }
+  EXPECT_EQ(steps_under["baseline/train_epoch"], 5);
+  EXPECT_EQ(steps_under["fairwos/pretrain_epoch"], 4);
+  EXPECT_EQ(steps_under["fairwos/finetune_epoch"], 3);
+}
+
+TEST(EncoderTelemetryTest, ObservesEpochWindowAndGradNorm) {
+  auto ds = data::MakeDataset("toy", {}).value();
+  core::EncoderConfig config;
+  config.out_dim = 4;
+  config.epochs = 4;
+  config.patience = 0;
+  obs::WindowedHistogram* epoch_window =
+      obs::MetricsRegistry::Global().GetWindowed("train.window.epoch_ms");
+  epoch_window->Reset();
+
+  obs::CollectingSink sink;
+  obs::SetEventSink(&sink);
+  core::PretrainedEncoder encoder(config, ds, /*seed=*/3);
+  obs::SetEventSink(nullptr);
+
+  EXPECT_EQ(epoch_window->TakeSnapshot().count, 4);
   int epoch_events = 0;
   for (const auto& e : sink.events()) {
     if (e.name() != "epoch") continue;
     ++epoch_events;
-    EXPECT_EQ(e.GetString("phase"), "baseline");
-    EXPECT_NE(e.GetString("loss_total"), "");
-    EXPECT_NE(e.GetString("grad_norm"), "");
+    EXPECT_EQ(e.GetString("phase"), "encoder");
+    EXPECT_GT(e.GetDouble("grad_norm"), 0.0) << e.ToJson();
   }
-  EXPECT_EQ(epoch_events, 5);
-
-  bool saw_train = false, saw_epoch = false, saw_step = false;
-  for (const auto& ev : obs::TraceRecorder::Global().snapshot()) {
-    if (ev.name == "baseline/train") saw_train = true;
-    if (ev.name == "baseline/train_epoch") saw_epoch = true;
-    if (ev.name == "optimizer/step") {
-      saw_step = true;
-      // Optimizer steps nest inside the per-epoch span.
-      EXPECT_NE(ev.path.find("baseline/train_epoch>"), std::string::npos);
-    }
-  }
-  obs::TraceRecorder::Global().Clear();
-  EXPECT_TRUE(saw_train);
-  EXPECT_TRUE(saw_epoch);
-  EXPECT_TRUE(saw_step);
+  EXPECT_EQ(epoch_events, 4);
 }
 
 // ------------------------------------------------------------ string util --

@@ -519,11 +519,89 @@ TEST(KillAndResumeTest, FairwosIsBitIdenticalFromEitherPhase) {
   ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
   // Deadline polls: 1 before the encoder, one per encoder epoch (8), 1
   // after, then one per classifier pre-train epoch (12) and fine-tune
-  // epoch (6). Poll 15 lands in pre-train, poll 24 in fine-tune.
-  ExpectFairwosResumeIdentical(ds, reference, /*checks=*/15,
-                               /*expected_phase=*/1);
-  ExpectFairwosResumeIdentical(ds, reference, /*checks=*/24,
-                               /*expected_phase=*/2);
+  // epoch (6). AfterChecks(n) expires at poll n + 1, so n = 10..21
+  // interrupts pre-train epochs 0..11 and n = 22..27 fine-tune epochs
+  // 0..5 (n = 22 writes the all-zero Dᵢ placeholder).
+  for (int64_t checks = 10; checks <= 27; ++checks) {
+    SCOPED_TRACE("checks=" + std::to_string(checks));
+    ExpectFairwosResumeIdentical(ds, reference, checks,
+                                 /*expected_phase=*/checks <= 21 ? 1 : 2);
+  }
+}
+
+/// A temp directory private to the running test (ctest runs tests in
+/// parallel processes).
+std::string TestTempDir(const std::string& suffix) {
+  const char* test =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return TempDir(std::string("fw_resume_") + test + "_" + suffix);
+}
+
+/// The newest checkpoint of a Fairwos run interrupted after `checks` polls.
+nn::TrainState InterruptedFairwosState(const data::Dataset& ds,
+                                       int64_t checks) {
+  const std::string dir = TestTempDir("source");
+  core::FairwosConfig config = SmallFairwosConfig();
+  config.checkpoint.dir = dir;
+  config.deadline = common::Deadline::AfterChecks(checks);
+  EXPECT_EQ(RunFairwos(ds, config).status.code(),
+            common::StatusCode::kDeadlineExceeded);
+  nn::CheckpointRotation rotation(dir, 3);
+  auto loaded = rotation.LoadLatestValid();
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::filesystem::remove_all(dir);
+  return loaded.ok() ? std::move(loaded).value() : nn::TrainState{};
+}
+
+/// Resumes Fairwos from `st` alone and returns the run's status.
+common::Status ResumeFairwosFrom(const data::Dataset& ds,
+                                 const nn::TrainState& st) {
+  const std::string dir = TestTempDir("tampered");
+  EXPECT_TRUE(nn::CheckpointRotation(dir, 3).Save(st).ok());
+  core::FairwosConfig config = SmallFairwosConfig();
+  config.checkpoint.dir = dir;
+  config.checkpoint.resume = true;
+  const common::Status status = RunFairwos(ds, config).status;
+  std::filesystem::remove_all(dir);
+  return status;
+}
+
+TEST(KillAndResumeTest, FairwosRejectsBaselineCheckpoint) {
+  auto ds = ToyDataset();
+  nn::TrainState st = SampleState();
+  st.phase = 0;
+  EXPECT_EQ(ResumeFairwosFrom(ds, st).code(),
+            common::StatusCode::kFailedPrecondition);
+}
+
+TEST(KillAndResumeTest, FairwosRejectsShortSections) {
+  auto ds = ToyDataset();
+  // Poll 16 is pre-train epoch 5 (phase 1), poll 25 fine-tune epoch 2.
+  for (int64_t checks : {15, 24}) {
+    const nn::TrainState st = InterruptedFairwosState(ds, checks);
+    ASSERT_EQ(st.phase, checks == 15 ? 1 : 2);
+    ASSERT_TRUE(ResumeFairwosFrom(ds, st).ok());
+    for (int section = 0; section < 3; ++section) {
+      SCOPED_TRACE("phase " + std::to_string(st.phase) + ", section " +
+                   std::to_string(section));
+      nn::TrainState short_st = st;
+      if (section == 0) short_st.blobs.pop_back();
+      if (section == 1) short_st.scalars.pop_back();
+      if (section == 2) short_st.counters.pop_back();
+      EXPECT_EQ(ResumeFairwosFrom(ds, short_st).code(),
+                common::StatusCode::kFailedPrecondition);
+    }
+  }
+}
+
+TEST(KillAndResumeTest, FairwosRejectsMismatchedPseudoAttributes) {
+  auto ds = ToyDataset();
+  nn::TrainState st = InterruptedFairwosState(ds, /*checks=*/15);
+  ASSERT_EQ(st.phase, 1);
+  ASSERT_FALSE(st.blobs.empty());
+  st.blobs[0].pop_back();  // X⁰ one value short of [N, num_attrs]
+  EXPECT_EQ(ResumeFairwosFrom(ds, st).code(),
+            common::StatusCode::kFailedPrecondition);
 }
 
 TEST(KillAndResumeTest, FairwosEmitsResumeTelemetry) {
