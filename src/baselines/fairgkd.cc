@@ -12,33 +12,49 @@ namespace {
 
 /// Trains the feature-only MLP teacher and returns its soft predictions
 /// (softmax probabilities) for every node.
-tensor::Tensor TrainMlpTeacher(const FairGkdConfig& config,
-                               const TrainOptions& train,
-                               const data::Dataset& ds, common::Rng* rng) {
+common::Result<tensor::Tensor> TrainMlpTeacher(const FairGkdConfig& config,
+                                               const TrainOptions& train,
+                                               const data::Dataset& ds,
+                                               common::Rng* rng) {
   nn::Mlp mlp({ds.num_attrs(), config.mlp_hidden, 2}, /*dropout=*/0.5f, rng);
   nn::Adam opt(mlp.parameters(), train.lr, 0.9f, 0.999f, 1e-8f,
                train.weight_decay);
   auto best_snapshot = nn::SnapshotParameters(mlp);
   double best_val = -1.0;
   int64_t since_best = 0;
-  for (int64_t epoch = 0; epoch < config.teacher_epochs; ++epoch) {
-    opt.ZeroGrad();
+  core::EpochLoop loop;
+  loop.phase = {.name = "fairgkd_teacher",
+                .span = "fairgkd/teacher_epoch",
+                .label = "FairGKD MLP teacher"};
+  loop.epochs = config.teacher_epochs;
+  loop.deadline = &train.deadline;
+  loop.recovery = train.recovery;
+  loop.step = [&](obs::Event* event) {
     tensor::Tensor logits = mlp.Forward(ds.features, /*training=*/true, rng);
-    tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train).Backward();
-    opt.Step();
+    tensor::Tensor loss =
+        tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train);
+    loss.Backward();
+    const double loss_cls = loss.item();
+    event->Set("loss_cls", loss_cls);
+    return loss_cls;
+  };
+  loop.after_commit = [&](obs::Event* event) {
     tensor::NoGradGuard no_grad;
-    auto eval = nn::PredictFromLogits(
-        mlp.Forward(ds.features, /*training=*/false, rng));
-    const double val_acc =
-        fairness::AccuracyPct(eval.pred, ds.labels, ds.split.val);
+    const double val_acc = fairness::AccuracyPct(
+        nn::PredictFromLogits(mlp.Forward(ds.features, /*training=*/false, rng))
+            .pred,
+        ds.labels, ds.split.val);
+    event->Set("val_acc", val_acc);
     if (val_acc > best_val) {
       best_val = val_acc;
       best_snapshot = nn::SnapshotParameters(mlp);
       since_best = 0;
-    } else if (train.patience > 0 && ++since_best >= train.patience) {
-      break;
+      return false;
     }
-  }
+    return train.patience > 0 && ++since_best >= train.patience;
+  };
+  TrainDiagnostics diag;
+  FW_RETURN_IF_ERROR(core::RunEpochs(loop, mlp, &opt, rng, &diag));
   nn::RestoreParameters(mlp, best_snapshot);
   tensor::NoGradGuard no_grad;
   return tensor::Softmax(mlp.Forward(ds.features, /*training=*/false, rng))
@@ -46,24 +62,22 @@ tensor::Tensor TrainMlpTeacher(const FairGkdConfig& config,
 }
 
 /// Trains the structure-only GNN teacher; soft predictions for all nodes.
-tensor::Tensor TrainStructureTeacher(const FairGkdConfig& config,
-                                     const TrainOptions& train,
-                                     const nn::GnnConfig& backbone,
-                                     const data::Dataset& ds,
-                                     common::Rng* rng) {
+common::Result<tensor::Tensor> TrainStructureTeacher(
+    const FairGkdConfig& config, const TrainOptions& train,
+    const nn::GnnConfig& backbone, const data::Dataset& ds,
+    common::Rng* rng) {
   tensor::Tensor struct_features = StructureOnlyFeatures(ds.graph);
   nn::GnnConfig gnn = backbone;
   gnn.in_features = struct_features.dim(1);
   nn::GnnClassifier teacher(gnn, ds.graph, rng);
   TrainOptions teacher_train = train;
   teacher_train.epochs = config.teacher_epochs;
-  // The teacher is not independently checkpointable (the student loop owns
-  // the checkpoint directory); a deadline expiry here is ignored — the
-  // student's own TrainClassifier call sees the expired deadline on its
-  // first poll and propagates DeadlineExceeded from there.
+  // The student's loop owns the checkpoint directory; the teacher is not
+  // checkpointed.
   teacher_train.checkpoint = nn::CheckpointOptions{};
-  (void)TrainClassifier(teacher_train, ds, struct_features,
-                        /*penalty=*/nullptr, &teacher, rng);
+  FW_RETURN_IF_ERROR(TrainClassifier(teacher_train, ds, struct_features,
+                                     /*penalty=*/nullptr, &teacher, rng)
+                         .status());
   tensor::NoGradGuard no_grad;
   return tensor::Softmax(
              teacher.Forward(struct_features, /*training=*/false, rng))
@@ -101,9 +115,10 @@ common::Result<std::unique_ptr<core::FittedModel>> FairGkdMethod::Fit(
   common::Rng rng(seed);
 
   // Stage 1: two partial-knowledge teachers.
-  tensor::Tensor feature_soft = TrainMlpTeacher(config_, train_, ds, &rng);
-  tensor::Tensor structure_soft =
-      TrainStructureTeacher(config_, train_, gnn_, ds, &rng);
+  FW_ASSIGN_OR_RETURN(tensor::Tensor feature_soft,
+                      TrainMlpTeacher(config_, train_, ds, &rng));
+  FW_ASSIGN_OR_RETURN(tensor::Tensor structure_soft,
+                      TrainStructureTeacher(config_, train_, gnn_, ds, &rng));
   // Averaged soft target.
   tensor::Tensor target;
   {

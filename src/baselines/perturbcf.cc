@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "fairness/metrics.h"
@@ -46,8 +46,11 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
 
   // Shared first stage with Fairwos: pseudo-sensitive attributes + GNN
   // pre-training.
-  core::PretrainedEncoder encoder(config_.encoder, ds, rng.NextU64());
-  tensor::Tensor x0 = encoder.pseudo_attributes();
+  FW_ASSIGN_OR_RETURN(
+      core::EncoderOutput encoder,
+      core::PretrainEncoder(config_.encoder, ds, rng.NextU64(),
+                            train_.deadline, core::CheckpointSession{}));
+  const tensor::Tensor x0 = std::move(encoder.x0);
   nn::GnnConfig gnn = gnn_;
   gnn.in_features = x0.dim(1);
   nn::GnnClassifier model(gnn, ds.graph, &rng);
@@ -56,10 +59,8 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
           .status());
 
   // Fine-tune with the fabricated counterfactual (the non-realistic kind).
-  const double pretrain_val_acc = [&] {
-    auto eval = EvaluateAll(model, x0, &rng);
-    return fairness::AccuracyPct(eval.pred, ds.labels, ds.split.val);
-  }();
+  const double pretrain_val_acc = fairness::AccuracyPct(
+      EvaluateAll(model, x0, &rng).pred, ds.labels, ds.split.val);
   const double acceptable = pretrain_val_acc - config_.utility_tolerance_pct;
   nn::Adam opt(model.parameters(), config_.finetune_lr, 0.9f, 0.999f, 1e-8f,
                train_.weight_decay);
@@ -67,10 +68,16 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
   auto fallback_snapshot = best_snapshot;
   bool have_tolerated = false;
   double best_val = -1.0;
-  for (int64_t epoch = 0; epoch < config_.finetune_epochs; ++epoch) {
+  core::EpochLoop loop;
+  loop.phase = {.name = "perturbcf_finetune",
+                .span = "perturbcf/finetune_epoch",
+                .label = "PerturbCF fine-tune"};
+  loop.epochs = config_.finetune_epochs;
+  loop.deadline = &train_.deadline;
+  loop.recovery = train_.recovery;
+  loop.step = [&](obs::Event* event) {
     tensor::Tensor x0_cf =
         FlipPseudoAttributes(x0, config_.flip_fraction, &rng);
-    opt.ZeroGrad();
     tensor::Tensor h = model.Embed(x0, /*training=*/true, &rng);
     tensor::Tensor h_cf = model.Embed(x0_cf, /*training=*/true, &rng);
     tensor::Tensor consistency = tensor::MulScalar(
@@ -79,17 +86,22 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
     // Normalize like Fairwos so α is scale-free.
     const float scale =
         consistency.item() > 1e-12f ? 1.0f / consistency.item() : 0.0f;
+    tensor::Tensor ce =
+        tensor::SoftmaxCrossEntropy(model.Logits(h), ds.labels, ds.split.train);
     tensor::Tensor loss = tensor::Add(
-        tensor::SoftmaxCrossEntropy(model.Logits(h), ds.labels,
-                                    ds.split.train),
-        tensor::MulScalar(consistency,
-                          static_cast<float>(config_.alpha) * scale));
+        ce, tensor::MulScalar(consistency,
+                              static_cast<float>(config_.alpha) * scale));
     loss.Backward();
-    opt.Step();
-
-    auto eval = EvaluateAll(model, x0, &rng);
-    const double val_acc =
-        fairness::AccuracyPct(eval.pred, ds.labels, ds.split.val);
+    const double loss_total = loss.item();
+    event->Set("loss_total", loss_total)
+        .Set("loss_cls", ce.item())
+        .Set("loss_consistency", loss_total - ce.item());
+    return loss_total;
+  };
+  loop.after_commit = [&](obs::Event* event) {
+    const double val_acc = fairness::AccuracyPct(
+        EvaluateAll(model, x0, &rng).pred, ds.labels, ds.split.val);
+    event->Set("val_acc", val_acc);
     if (val_acc >= acceptable) {
       best_snapshot = nn::SnapshotParameters(model);
       have_tolerated = true;
@@ -98,7 +110,10 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
       best_val = val_acc;
       fallback_snapshot = nn::SnapshotParameters(model);
     }
-  }
+    return false;
+  };
+  TrainDiagnostics diag;
+  FW_RETURN_IF_ERROR(core::RunEpochs(loop, model, &opt, &rng, &diag));
   nn::RestoreParameters(model,
                         have_tolerated ? best_snapshot : fallback_snapshot);
 

@@ -5,15 +5,19 @@
 #ifndef FAIRWOS_CORE_ENCODER_H_
 #define FAIRWOS_CORE_ENCODER_H_
 
-#include <memory>
+#include <cstdint>
+#include <vector>
 
 #include "common/deadline.h"
-#include "common/rng.h"
+#include "common/status.h"
+#include "core/train_loop.h"
 #include "data/dataset.h"
-#include "nn/gnn.h"
-#include "nn/optim.h"
+#include "nn/guard.h"
 
 namespace fairwos::core {
+
+/// Checkpoint phase id of the encoder pre-train (docs/resume.md).
+inline constexpr int64_t kEncoderPhase = 3;
 
 struct EncoderConfig {
   /// I — the number of pseudo-sensitive attributes (Fig. 5 sweeps this).
@@ -22,35 +26,29 @@ struct EncoderConfig {
   float lr = 1e-3f;
   float weight_decay = 5e-4f;
   float dropout = 0.5f;
-  /// Early-stopping patience on validation accuracy; <= 0 disables.
+  /// Early-stopping patience on validation loss; <= 0 disables.
   int64_t patience = 30;
 };
 
-/// Pre-trains a one-layer GCN encoder (captures non-sensitive attributes
-/// AND structure, per Fig. 3) with a softmax head on the training labels,
-/// then returns the frozen low-dimensional attributes X⁰ = Encoder(G).
-class PretrainedEncoder {
- public:
-  /// Trains on ds (Eq. 5) deterministically from `seed`. A non-null
-  /// `deadline` is polled once per epoch; on expiry training stops early
-  /// with the best parameters so far (the caller — core::TrainFairwos —
-  /// re-checks the deadline and aborts the run cleanly; a half-trained
-  /// encoder is never checkpointed, see docs/resume.md).
-  PretrainedEncoder(const EncoderConfig& config, const data::Dataset& ds,
-                    uint64_t seed,
-                    const common::Deadline* deadline = nullptr);
-
+struct EncoderOutput {
   /// X⁰: [N, out_dim] pseudo-sensitive attributes, detached constants.
-  const tensor::Tensor& pseudo_attributes() const { return x0_; }
-
-  /// Validation accuracy of the encoder's own head at the best epoch —
-  /// exposed for tests and diagnostics.
-  double best_val_accuracy_pct() const { return best_val_acc_; }
-
- private:
-  tensor::Tensor x0_;
-  double best_val_acc_ = 0.0;
+  tensor::Tensor x0;
+  /// Validation accuracy of the encoder's own head at the best epoch.
+  double best_val_acc_pct = 0.0;
 };
+
+/// Pre-trains a one-layer GCN encoder (captures non-sensitive attributes
+/// AND structure, per Fig. 3) with a softmax head on the training labels
+/// (Eq. 5), deterministically from `seed`, then returns the frozen
+/// low-dimensional attributes X⁰ = Encoder(G). The loop is
+/// TrainClassifierPhase as checkpoint phase kEncoderPhase: it polls
+/// `deadline` every epoch, writes to `session.rotation` and resumes from
+/// `session.resume` (null or a phase-kEncoderPhase state). Errors are
+/// DeadlineExceeded, a mismatched checkpoint or a failed write.
+common::Result<EncoderOutput> PretrainEncoder(
+    const EncoderConfig& config, const data::Dataset& ds, uint64_t seed,
+    const common::Deadline& deadline, const CheckpointSession& session,
+    const nn::RecoveryConfig& recovery = {}, int64_t checkpoint_every = 0);
 
 /// Per-column median split used to make "x⁰ᵢ differs" well-defined for
 /// continuous embeddings (DESIGN.md §4): bins[v][i] ∈ {0, 1}.

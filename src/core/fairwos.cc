@@ -19,7 +19,7 @@ namespace fairwos::core {
 namespace {
 
 // Checkpoint phase ids (docs/resume.md). Phase 0 is reserved for
-// baselines::TrainClassifier; the encoder phase keeps no durable state.
+// baselines::TrainClassifier; the encoder is kEncoderPhase (core/encoder.h).
 constexpr int64_t kPhasePretrain = 1;
 constexpr int64_t kPhaseFinetune = 2;
 
@@ -74,58 +74,49 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
   // --- Crash-resume bootstrap (docs/resume.md) ----------------------------
   FW_ASSIGN_OR_RETURN(
       CheckpointSession session,
-      OpenCheckpoints(config.checkpoint, {kPhasePretrain, kPhaseFinetune},
+      OpenCheckpoints(config.checkpoint,
+                      {kPhasePretrain, kPhaseFinetune, kEncoderPhase},
                       "Fairwos"));
-  const nn::TrainState* resume = session.resume ? &*session.resume : nullptr;
-  if (resume != nullptr) {
+  if (session.resume) {
     local_stats.resumed = true;
-    local_stats.resume_phase = resume->phase;
-    local_stats.resume_epoch = resume->epoch;
+    local_stats.resume_phase = session.resume->phase;
+    local_stats.resume_epoch = session.resume->epoch;
   }
 
   // --- Step 1: pseudo-sensitive attributes (Eq. 4-6) ----------------------
   tensor::Tensor x0;
-  if (resume != nullptr) {
+  if (session.resume && session.resume->phase != kEncoderPhase) {
     // X⁰ is frozen after step 1, so checkpoints carry it verbatim (both
     // phase layouts put num_attrs at counters[3] and the flattened X⁰ in
     // blobs[0]); resume never re-runs the encoder.
+    const nn::TrainState& st = *session.resume;
     const int64_t num_nodes = ds.num_nodes();
-    const int64_t saved_attrs =
-        resume->counters.size() >= 4 ? resume->counters[3] : 0;
-    if (saved_attrs <= 0 || resume->blobs.empty() ||
-        static_cast<int64_t>(resume->blobs[0].size()) !=
-            num_nodes * saved_attrs) {
+    const int64_t saved_attrs = st.counters.size() >= 4 ? st.counters[3] : 0;
+    if (saved_attrs <= 0 || st.blobs.empty() ||
+        static_cast<int64_t>(st.blobs[0].size()) != num_nodes * saved_attrs) {
       return common::Status::FailedPrecondition(
           "checkpoint pseudo-attributes do not match this dataset");
     }
-    x0 = tensor::Tensor::FromVector({num_nodes, saved_attrs},
-                                    resume->blobs[0]);
+    x0 = tensor::Tensor::FromVector({num_nodes, saved_attrs}, st.blobs[0]);
+  } else if (config.use_encoder) {
+    FW_TRACE_SPAN("fairwos/encoder_pretrain");
+    FW_ASSIGN_OR_RETURN(
+        EncoderOutput encoder,
+        PretrainEncoder(config.encoder, ds, rng.NextU64(), config.deadline,
+                        session, config.recovery, config.checkpoint.every));
+    x0 = std::move(encoder.x0);
+    local_stats.encoder_val_acc_pct = encoder.best_val_acc_pct;
+    // A resumed encoder is done with its state; pre-train starts fresh.
+    session.resume.reset();
+  } else if (session.resume) {
+    return common::Status::FailedPrecondition(
+        "encoder checkpoint cannot be resumed with the encoder disabled");
   } else {
-    if (config.deadline.Expired()) {
-      return StopAtDeadline(
-          "encoder", 0, config.deadline, /*checkpointed=*/false,
-          "deadline expired before Fairwos training started");
-    }
-    if (config.use_encoder) {
-      FW_TRACE_SPAN("fairwos/encoder_pretrain");
-      PretrainedEncoder encoder(config.encoder, ds, rng.NextU64(),
-                                &config.deadline);
-      x0 = encoder.pseudo_attributes();
-      local_stats.encoder_val_acc_pct = encoder.best_val_accuracy_pct();
-    } else {
-      // Ablation Fwos w/o E: every non-sensitive attribute is its own
-      // pseudo-sensitive attribute.
-      x0 = ds.features.DetachCopy();
-    }
-    if (config.deadline.Expired()) {
-      // The encoder phase keeps no durable state (it is cheap relative to
-      // the classifier phases): an interruption here aborts cleanly and a
-      // resumed run restarts the encoder from scratch.
-      return StopAtDeadline("encoder", 0, config.deadline,
-                            /*checkpointed=*/false,
-                            "Fairwos encoder pre-train interrupted");
-    }
+    // Ablation Fwos w/o E: every non-sensitive attribute is its own
+    // pseudo-sensitive attribute.
+    x0 = ds.features.DetachCopy();
   }
+  const nn::TrainState* resume = session.resume ? &*session.resume : nullptr;
   const int64_t num_attrs = x0.dim(1);
 
   // --- Step 2: pre-train the GNN classifier (Eq. 10) ----------------------

@@ -66,11 +66,12 @@ struct FairwosConfig {
   /// See lambda_solver.h: false = Eq. 24 verbatim, true = prose reading.
   bool invert_lambda_preference = false;
 
-  /// Rollback-and-retry policy for both training phases: on a NaN/Inf loss,
-  /// gradient, or parameter the loop restores the last-good parameters,
-  /// halves the learning rate, and retries (docs/robustness.md). When
-  /// fine-tuning cannot stabilize within the budget, training degrades to
-  /// the pre-trained classifier (the "w/o F" ablation) instead of failing.
+  /// Rollback-and-retry policy for all three training phases: on a NaN/Inf
+  /// loss, gradient, or parameter the loop restores the last-good
+  /// parameters, halves the learning rate, and retries
+  /// (docs/robustness.md). When fine-tuning cannot stabilize within the
+  /// budget, training degrades to the pre-trained classifier (the "w/o F"
+  /// ablation) instead of failing.
   nn::RecoveryConfig recovery;
 
   /// Steady-state global-norm gradient clip applied on every optimizer
@@ -79,9 +80,10 @@ struct FairwosConfig {
   float max_grad_norm = 0.0f;
 
   /// Durable crash-resume (docs/resume.md): rotating full-training-state
-  /// checkpoints written at epoch boundaries of the classifier pre-train
-  /// and fairness fine-tune phases, and deterministic restart from the
-  /// newest valid one. Disabled while `checkpoint.dir` is empty.
+  /// checkpoints written at epoch boundaries of the encoder pre-train,
+  /// classifier pre-train and fairness fine-tune phases, and deterministic
+  /// restart from the newest valid one. Disabled while `checkpoint.dir` is
+  /// empty.
   nn::CheckpointOptions checkpoint;
 
   /// Cooperative stop token, polled at every epoch boundary (including the

@@ -56,7 +56,7 @@ common::Status StopAtDeadline(const char* phase, int64_t epoch,
 common::Status RunEpochs(const EpochLoop& loop, const nn::Module& model,
                          nn::Optimizer* opt, common::Rng* rng,
                          TrainDiagnostics* diag) {
-  FW_CHECK(loop.deadline != nullptr && loop.epochs_run != nullptr);
+  FW_CHECK(loop.deadline != nullptr);
   *diag = TrainDiagnostics{};
   int64_t start_epoch = 0;
   int64_t restored_retries = 0;
@@ -112,7 +112,7 @@ common::Status RunEpochs(const EpochLoop& loop, const nn::Module& model,
     }
     FW_TRACE_SPAN(loop.phase.span);
     common::Stopwatch epoch_watch;
-    ++*loop.epochs_run;
+    if (loop.epochs_run != nullptr) ++*loop.epochs_run;
     opt->ZeroGrad();
     obs::Event event("epoch");
     event.Set("phase", loop.phase.name).Set("epoch", epoch);

@@ -1,5 +1,6 @@
-// One epoch-loop driver for every checkpointed training phase: baseline
-// classifier (phase 0), Fairwos pre-train (1) and fine-tune (2). See
+// One epoch-loop driver for every training loop: the checkpointed phases
+// (baseline classifier 0, Fairwos pre-train 1, fine-tune 2, encoder 3) and
+// the uncheckpointed PerturbCF fine-tune and FairGKD teacher. See
 // docs/resume.md and docs/robustness.md.
 #ifndef FAIRWOS_CORE_TRAIN_LOOP_H_
 #define FAIRWOS_CORE_TRAIN_LOOP_H_
@@ -45,7 +46,7 @@ common::Status StopAtDeadline(const char* phase, int64_t epoch,
 
 struct TrainOptions {
   int64_t epochs = 300;
-  int64_t patience = 30;  // early stop on validation accuracy; <= 0 disables
+  int64_t patience = 30;  // early stop on validation loss; <= 0 disables
   float lr = 1e-3f;       // paper §V-A4: Adam, 0.001
   float weight_decay = 5e-4f;
   /// Rollback-and-retry policy on NaN/Inf divergence (docs/robustness.md).
@@ -79,9 +80,9 @@ struct TrainDiagnostics {
 using PenaltyFn = std::function<tensor::Tensor(const tensor::Tensor& h,
                                                const tensor::Tensor& logits)>;
 
-/// Names one checkpointed phase.
+/// Names one phase of training.
 struct EpochPhase {
-  int64_t id = 0;          // TrainState::phase
+  int64_t id = 0;          // TrainState::phase (unused without a rotation)
   const char* name = "";   // the "phase" field of its events
   const char* span = "";   // per-epoch span; a literal (the recorder keeps it)
   const char* label = "";  // healer log context and error messages
@@ -95,15 +96,17 @@ struct EpochLoop {
   nn::CheckpointRotation* rotation = nullptr;  // null: no checkpoints
   int64_t checkpoint_every = 0;  // <= 0: only the deadline's checkpoint
   const nn::TrainState* resume = nullptr;  // null: fresh start
-  int64_t* epochs_run = nullptr;  // every started epoch; `unpack` restores it
+  int64_t* epochs_run = nullptr;  // started epochs; null: not counted
   /// Forward, loss and Backward; adds loss fields to the epoch event and
   /// returns the loss the guard checks.
   std::function<double(obs::Event* event)> step;
   /// Validation and model selection after Commit; true stops the loop.
   std::function<bool(obs::Event* event)> after_commit;
-  /// Appends the caller's blobs, scalars and counters to a checkpoint.
+  /// Appends the caller's blobs, scalars and counters to a checkpoint
+  /// (unused without a rotation).
   std::function<void(int64_t retries, nn::TrainState* st)> pack;
-  /// Validates and takes them back; returns the saved retry count.
+  /// Validates and takes them back; returns the saved retry count (unused
+  /// without a resume state).
   std::function<common::Result<int64_t>(const nn::TrainState& st)> unpack;
 };
 

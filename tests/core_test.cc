@@ -259,20 +259,24 @@ TEST(EncoderTest, ProducesRequestedDimensionAndLearns) {
   EncoderConfig config;
   config.out_dim = 8;
   config.epochs = 300;
-  PretrainedEncoder encoder(config, ds, /*seed=*/3);
-  EXPECT_EQ(encoder.pseudo_attributes().dim(0), ds.num_nodes());
-  EXPECT_EQ(encoder.pseudo_attributes().dim(1), 8);
+  const EncoderOutput encoder =
+      PretrainEncoder(config, ds, /*seed=*/3, common::Deadline::Never(), {})
+          .value();
+  EXPECT_EQ(encoder.x0.dim(0), ds.num_nodes());
+  EXPECT_EQ(encoder.x0.dim(1), 8);
   // The encoder head must beat chance on validation by a clear margin.
-  EXPECT_GE(encoder.best_val_accuracy_pct(), 58.0);
+  EXPECT_GE(encoder.best_val_acc_pct, 58.0);
 }
 
 TEST(EncoderTest, DeterministicInSeed) {
   auto ds = data::MakeDataset("toy", {}).value();
   EncoderConfig config;
   config.epochs = 30;
-  PretrainedEncoder a(config, ds, 9);
-  PretrainedEncoder b(config, ds, 9);
-  EXPECT_TRUE(a.pseudo_attributes().ValueEquals(b.pseudo_attributes()));
+  const auto a =
+      PretrainEncoder(config, ds, 9, common::Deadline::Never(), {}).value();
+  const auto b =
+      PretrainEncoder(config, ds, 9, common::Deadline::Never(), {}).value();
+  EXPECT_TRUE(a.x0.ValueEquals(b.x0));
 }
 
 // --- Trainer (integration) ----------------------------------------------------

@@ -25,8 +25,10 @@ SearchFixture BuildFixture(uint64_t seed) {
   EncoderConfig config;
   config.out_dim = 8;
   config.epochs = 80;
-  PretrainedEncoder encoder(config, fixture.ds, seed);
-  fixture.embeddings = encoder.pseudo_attributes();
+  fixture.embeddings =
+      PretrainEncoder(config, fixture.ds, seed, common::Deadline::Never(), {})
+          .value()
+          .x0;
   fixture.bins = MedianBins(fixture.embeddings);
   CounterfactualConfig search;
   search.top_k = 3;

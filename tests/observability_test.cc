@@ -508,14 +508,13 @@ TEST(HarnessTelemetryTest, TrainingEmitsEpochEventsAndSpans) {
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(fairwos.ok()) << fairwos.status().ToString();
 
-  // Each phase's epoch events carry exactly these fields. The encoder's
-  // grad_norm is checked separately (EncoderTelemetryTest).
+  // Each phase's epoch events carry exactly these fields.
   const std::set<std::string> common_keys = {"event", "phase", "epoch"};
   const std::map<std::string, std::set<std::string>> phase_keys = {
       {"baseline",
        {"loss_total", "loss_cls", "loss_penalty", "val_loss", "grad_norm",
         "lr"}},
-      {"encoder", {"loss_cls", "val_loss", "lr"}},
+      {"encoder", {"loss_cls", "val_loss", "grad_norm", "lr"}},
       {"pretrain", {"loss_cls", "val_loss", "grad_norm", "lr"}},
       {"finetune",
        {"loss_total", "loss_cls", "loss_fair", "mean_distance", "grad_norm",
@@ -529,9 +528,7 @@ TEST(HarnessTelemetryTest, TrainingEmitsEpochEventsAndSpans) {
     ASSERT_EQ(phase_keys.count(phase), 1u) << phase;
     std::set<std::string> expected = phase_keys.at(phase);
     expected.insert(common_keys.begin(), common_keys.end());
-    std::set<std::string> keys = EventKeys(e);
-    if (phase == "encoder") keys.erase("grad_norm");
-    EXPECT_EQ(keys, expected) << e.ToJson();
+    EXPECT_EQ(EventKeys(e), expected) << e.ToJson();
   }
   EXPECT_EQ(epoch_events["baseline"], 5);
   EXPECT_EQ(epoch_events["encoder"], 3);
@@ -541,14 +538,14 @@ TEST(HarnessTelemetryTest, TrainingEmitsEpochEventsAndSpans) {
   // The spans bench/e2e reads, plus the baseline's.
   std::set<std::string> seen;
   const std::vector<std::string> guarded_epochs = {
-      "baseline/train_epoch", "fairwos/pretrain_epoch",
-      "fairwos/finetune_epoch"};
+      "baseline/train_epoch", "encoder/pretrain_epoch",
+      "fairwos/pretrain_epoch", "fairwos/finetune_epoch"};
   std::map<std::string, int> steps_under;
   for (const auto& ev : obs::TraceRecorder::Global().snapshot()) {
     seen.insert(ev.name);
     if (ev.name != "optimizer/step") continue;
     // Optimizer steps nest inside a per-epoch span.
-    bool nested = ev.path.find("encoder/pretrain_epoch>") != std::string::npos;
+    bool nested = false;
     for (const std::string& span : guarded_epochs) {
       if (ev.path.find(span + ">") != std::string::npos) {
         ++steps_under[span];
@@ -567,8 +564,50 @@ TEST(HarnessTelemetryTest, TrainingEmitsEpochEventsAndSpans) {
     EXPECT_EQ(seen.count(span), 1u) << span;
   }
   EXPECT_EQ(steps_under["baseline/train_epoch"], 5);
+  EXPECT_EQ(steps_under["encoder/pretrain_epoch"], 3);
   EXPECT_EQ(steps_under["fairwos/pretrain_epoch"], 4);
   EXPECT_EQ(steps_under["fairwos/finetune_epoch"], 3);
+}
+
+TEST(HarnessTelemetryTest, PerturbCfAndFairGkdLoopsEmitEpochEvents) {
+  auto ds = data::MakeDataset("toy", {}).value();
+  baselines::MethodOptions options;
+  options.train.epochs = 3;
+  options.train.patience = 0;
+  options.perturbcf.encoder.epochs = 2;
+  options.perturbcf.finetune_epochs = 4;
+  options.fairgkd.teacher_epochs = 5;
+  obs::CollectingSink sink;
+  obs::SetEventSink(&sink);
+  for (const char* name : {"perturbcf", "fairgkd"}) {
+    auto method = baselines::MakeMethod(name, options).value();
+    EXPECT_TRUE(method->Fit(ds, /*seed=*/1).ok()) << name;
+  }
+  obs::SetEventSink(nullptr);
+
+  const std::map<std::string, std::set<std::string>> phase_keys = {
+      {"perturbcf_finetune",
+       {"loss_total", "loss_cls", "loss_consistency", "val_acc", "grad_norm",
+        "lr"}},
+      {"fairgkd_teacher", {"loss_cls", "val_acc", "grad_norm", "lr"}},
+  };
+  std::map<std::string, int> epoch_events;
+  for (const auto& e : sink.events()) {
+    if (e.name() != "epoch") continue;
+    const std::string phase = e.GetString("phase");
+    ++epoch_events[phase];
+    auto it = phase_keys.find(phase);
+    if (it == phase_keys.end()) continue;
+    std::set<std::string> expected = it->second;
+    expected.insert({"event", "phase", "epoch"});
+    EXPECT_EQ(EventKeys(e), expected) << e.ToJson();
+  }
+  // PerturbCF: encoder 2, pre-train 3, fine-tune 4. FairGKD: MLP teacher
+  // 5, structure teacher 5 and student 3 (both "baseline").
+  EXPECT_EQ(epoch_events["encoder"], 2);
+  EXPECT_EQ(epoch_events["perturbcf_finetune"], 4);
+  EXPECT_EQ(epoch_events["fairgkd_teacher"], 5);
+  EXPECT_EQ(epoch_events["baseline"], 3 + 5 + 3);
 }
 
 TEST(EncoderTelemetryTest, ObservesEpochWindowAndGradNorm) {
@@ -583,7 +622,9 @@ TEST(EncoderTelemetryTest, ObservesEpochWindowAndGradNorm) {
 
   obs::CollectingSink sink;
   obs::SetEventSink(&sink);
-  core::PretrainedEncoder encoder(config, ds, /*seed=*/3);
+  ASSERT_TRUE(core::PretrainEncoder(config, ds, /*seed=*/3,
+                                    common::Deadline::Never(), {})
+                  .ok());
   obs::SetEventSink(nullptr);
 
   EXPECT_EQ(epoch_window->TakeSnapshot().count, 4);

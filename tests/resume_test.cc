@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -504,6 +505,8 @@ void ExpectFairwosResumeIdentical(const data::Dataset& ds,
 
   EXPECT_EQ(resumed.pred, reference.pred);
   EXPECT_EQ(resumed.prob1, reference.prob1);
+  EXPECT_EQ(resumed.stats.encoder_val_acc_pct,
+            reference.stats.encoder_val_acc_pct);
   EXPECT_EQ(resumed.stats.lambda, reference.stats.lambda);
   EXPECT_EQ(resumed.stats.final_distances, reference.stats.final_distances);
   EXPECT_EQ(resumed.stats.pretrain_epochs_run,
@@ -517,15 +520,17 @@ TEST(KillAndResumeTest, FairwosIsBitIdenticalFromEitherPhase) {
   auto ds = ToyDataset();
   const FairwosRun reference = RunFairwos(ds, SmallFairwosConfig());
   ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
-  // Deadline polls: 1 before the encoder, one per encoder epoch (8), 1
-  // after, then one per classifier pre-train epoch (12) and fine-tune
-  // epoch (6). AfterChecks(n) expires at poll n + 1, so n = 10..21
-  // interrupts pre-train epochs 0..11 and n = 22..27 fine-tune epochs
-  // 0..5 (n = 22 writes the all-zero Dᵢ placeholder).
-  for (int64_t checks = 10; checks <= 27; ++checks) {
+  // Deadline polls: one per encoder epoch (8), classifier pre-train epoch
+  // (12) and fine-tune epoch (6). AfterChecks(n) expires at poll n + 1, so
+  // n = 0..7 interrupts encoder epochs 0..7 (phase 3), n = 8..19 pre-train
+  // epochs 0..11 (phase 1; n = 8 keeps the finished encoder's X⁰) and
+  // n = 20..25 fine-tune epochs 0..5 (phase 2; n = 20 writes the all-zero
+  // Dᵢ placeholder).
+  for (int64_t checks = 0; checks <= 25; ++checks) {
     SCOPED_TRACE("checks=" + std::to_string(checks));
-    ExpectFairwosResumeIdentical(ds, reference, checks,
-                                 /*expected_phase=*/checks <= 21 ? 1 : 2);
+    ExpectFairwosResumeIdentical(
+        ds, reference, checks,
+        /*expected_phase=*/checks <= 7 ? 3 : (checks <= 19 ? 1 : 2));
   }
 }
 
@@ -553,12 +558,13 @@ nn::TrainState InterruptedFairwosState(const data::Dataset& ds,
   return loaded.ok() ? std::move(loaded).value() : nn::TrainState{};
 }
 
-/// Resumes Fairwos from `st` alone and returns the run's status.
-common::Status ResumeFairwosFrom(const data::Dataset& ds,
-                                 const nn::TrainState& st) {
+/// Resumes Fairwos (`config`, default SmallFairwosConfig) from `st` alone
+/// and returns the run's status.
+common::Status ResumeFairwosFrom(
+    const data::Dataset& ds, const nn::TrainState& st,
+    core::FairwosConfig config = SmallFairwosConfig()) {
   const std::string dir = TestTempDir("tampered");
   EXPECT_TRUE(nn::CheckpointRotation(dir, 3).Save(st).ok());
-  core::FairwosConfig config = SmallFairwosConfig();
   config.checkpoint.dir = dir;
   config.checkpoint.resume = true;
   const common::Status status = RunFairwos(ds, config).status;
@@ -576,10 +582,12 @@ TEST(KillAndResumeTest, FairwosRejectsBaselineCheckpoint) {
 
 TEST(KillAndResumeTest, FairwosRejectsShortSections) {
   auto ds = ToyDataset();
-  // Poll 16 is pre-train epoch 5 (phase 1), poll 25 fine-tune epoch 2.
-  for (int64_t checks : {15, 24}) {
+  // Poll 4 is encoder epoch 3 (phase 3), poll 14 pre-train epoch 5
+  // (phase 1), poll 23 fine-tune epoch 2 (phase 2).
+  for (const auto& [checks, phase] :
+       std::vector<std::pair<int64_t, int64_t>>{{3, 3}, {13, 1}, {22, 2}}) {
     const nn::TrainState st = InterruptedFairwosState(ds, checks);
-    ASSERT_EQ(st.phase, checks == 15 ? 1 : 2);
+    ASSERT_EQ(st.phase, phase);
     ASSERT_TRUE(ResumeFairwosFrom(ds, st).ok());
     for (int section = 0; section < 3; ++section) {
       SCOPED_TRACE("phase " + std::to_string(st.phase) + ", section " +
@@ -596,12 +604,43 @@ TEST(KillAndResumeTest, FairwosRejectsShortSections) {
 
 TEST(KillAndResumeTest, FairwosRejectsMismatchedPseudoAttributes) {
   auto ds = ToyDataset();
-  nn::TrainState st = InterruptedFairwosState(ds, /*checks=*/15);
+  nn::TrainState st = InterruptedFairwosState(ds, /*checks=*/13);
   ASSERT_EQ(st.phase, 1);
   ASSERT_FALSE(st.blobs.empty());
   st.blobs[0].pop_back();  // X⁰ one value short of [N, num_attrs]
   EXPECT_EQ(ResumeFairwosFrom(ds, st).code(),
             common::StatusCode::kFailedPrecondition);
+}
+
+TEST(KillAndResumeTest, EncoderCheckpointNeedsTheSameEncoder) {
+  auto ds = ToyDataset();
+  const nn::TrainState st = InterruptedFairwosState(ds, /*checks=*/3);
+  ASSERT_EQ(st.phase, 3);
+  ASSERT_TRUE(ResumeFairwosFrom(ds, st).ok());
+  core::FairwosConfig no_encoder = SmallFairwosConfig();
+  no_encoder.use_encoder = false;
+  EXPECT_EQ(ResumeFairwosFrom(ds, st, no_encoder).code(),
+            common::StatusCode::kFailedPrecondition);
+  core::FairwosConfig wider = SmallFairwosConfig();
+  wider.encoder.out_dim += 2;
+  EXPECT_EQ(ResumeFairwosFrom(ds, st, wider).code(),
+            common::StatusCode::kFailedPrecondition);
+}
+
+TEST(KillAndResumeTest, BaselineRejectsEncoderCheckpoint) {
+  auto ds = ToyDataset();
+  const nn::TrainState st = InterruptedFairwosState(ds, /*checks=*/3);
+  ASSERT_EQ(st.phase, 3);
+  const std::string dir = TestTempDir("baseline");
+  ASSERT_TRUE(nn::CheckpointRotation(dir, 3).Save(st).ok());
+  baselines::TrainOptions options;
+  options.epochs = 5;
+  options.checkpoint.dir = dir;
+  options.checkpoint.resume = true;
+  common::Status status;
+  RunBaseline(ds, options, &status);
+  EXPECT_EQ(status.code(), common::StatusCode::kFailedPrecondition);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(KillAndResumeTest, FairwosEmitsResumeTelemetry) {

@@ -14,6 +14,7 @@
 #include "common/crc32.h"
 #include "common/fault.h"
 #include "common/health.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/fairwos.h"
 #include "data/synthetic.h"
@@ -482,6 +483,31 @@ TEST(FairwosFaultRecoveryTest, PretrainRecoveryIsCountedSeparately) {
   EXPECT_EQ(stats.pretrain_retries, 1);
   EXPECT_EQ(stats.finetune_retries, 0);
   EXPECT_FALSE(stats.finetune_degraded);
+}
+
+TEST(FairwosFaultRecoveryTest, PoisonedFirstEncoderLossIsRecovered) {
+  auto ds = ToyDataset();
+  obs::Counter* trips =
+      obs::MetricsRegistry::Global().GetCounter("selfheal.guard_trips");
+  const int64_t trips_before = trips->value();
+  // Visit 0 of the loss site is the encoder's first training loss.
+  testing::FaultInjector fi(17);
+  fi.Arm(testing::FaultSite::kLossValue, /*at_visit=*/0);
+  core::FairwosStats stats;
+  common::Result<std::unique_ptr<core::FittedGnnModel>> fitted =
+      common::Status::Internal("");
+  {
+    testing::ScopedFaultInjector scoped(&fi);
+    fitted = core::FitFairwos(FastConfig(), ds, /*seed=*/11, &stats);
+  }
+  EXPECT_EQ(fi.fires(testing::FaultSite::kLossValue), 1);
+  EXPECT_EQ(trips->value() - trips_before, 1);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  EXPECT_EQ(stats.pretrain_retries, 0);
+  const tensor::Tensor& x0 = fitted.value()->pseudo_sens();
+  ASSERT_TRUE(x0.defined());
+  EXPECT_EQ(x0.dim(0), ds.num_nodes());
+  EXPECT_TRUE(common::AllFinite(x0.data().data(), x0.data().size()));
 }
 
 // --- eval::RunRepeated partial failure ----------------------------------------

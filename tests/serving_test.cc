@@ -256,7 +256,13 @@ class EngineTest : public ::testing::Test {
     ds_ = ToyDataset();
     auto fitted = FitVanilla(ds_, /*seed=*/5);
     reference_ = fitted->Predict(ds_);
-    path_ = TempPath("fw_serving_engine.fwmodel");
+    // Unique per test: ctest runs each TEST_F as its own process, possibly
+    // in parallel, and a shared path would let one test's TearDown delete
+    // the artifact another is still loading.
+    path_ = TempPath(
+        std::string("fw_serving_engine_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".fwmodel");
     ASSERT_TRUE(SaveModelArtifact(path_, MakeArtifact(*fitted->AsGnn(), ds_))
                     .ok());
   }
