@@ -70,17 +70,17 @@ common::Result<tensor::Tensor> TrainStructureTeacher(
   nn::GnnConfig gnn = backbone;
   gnn.in_features = struct_features.dim(1);
   nn::GnnClassifier teacher(gnn, ds.graph, rng);
+  const nn::PropagatedInput input = PropagateInput(teacher, struct_features);
   TrainOptions teacher_train = train;
   teacher_train.epochs = config.teacher_epochs;
   // The student's loop owns the checkpoint directory; the teacher is not
   // checkpointed.
   teacher_train.checkpoint = nn::CheckpointOptions{};
-  FW_RETURN_IF_ERROR(TrainClassifier(teacher_train, ds, struct_features,
+  FW_RETURN_IF_ERROR(TrainClassifier(teacher_train, ds, input,
                                      /*penalty=*/nullptr, &teacher, rng)
                          .status());
   tensor::NoGradGuard no_grad;
-  return tensor::Softmax(
-             teacher.Forward(struct_features, /*training=*/false, rng))
+  return tensor::Softmax(teacher.Forward(input, /*training=*/false, rng))
       .DetachCopy();
 }
 

@@ -54,13 +54,16 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
   nn::GnnConfig gnn = gnn_;
   gnn.in_features = x0.dim(1);
   nn::GnnClassifier model(gnn, ds.graph, &rng);
+  // X⁰ is fixed, so its first-layer product is taken once; the flipped
+  // copy changes every epoch and is propagated per epoch.
+  const nn::PropagatedInput input = PropagateInput(model, x0);
   FW_RETURN_IF_ERROR(
-      TrainClassifier(train_, ds, x0, /*penalty=*/nullptr, &model, &rng)
+      TrainClassifier(train_, ds, input, /*penalty=*/nullptr, &model, &rng)
           .status());
 
   // Fine-tune with the fabricated counterfactual (the non-realistic kind).
   const double pretrain_val_acc = fairness::AccuracyPct(
-      EvaluateAll(model, x0, &rng).pred, ds.labels, ds.split.val);
+      EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
   const double acceptable = pretrain_val_acc - config_.utility_tolerance_pct;
   nn::Adam opt(model.parameters(), config_.finetune_lr, 0.9f, 0.999f, 1e-8f,
                train_.weight_decay);
@@ -78,7 +81,7 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
   loop.step = [&](obs::Event* event) {
     tensor::Tensor x0_cf =
         FlipPseudoAttributes(x0, config_.flip_fraction, &rng);
-    tensor::Tensor h = model.Embed(x0, /*training=*/true, &rng);
+    tensor::Tensor h = model.Embed(input, /*training=*/true, &rng);
     tensor::Tensor h_cf = model.Embed(x0_cf, /*training=*/true, &rng);
     tensor::Tensor consistency = tensor::MulScalar(
         tensor::SumSquares(tensor::Sub(h, h_cf)),
@@ -100,7 +103,7 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
   };
   loop.after_commit = [&](obs::Event* event) {
     const double val_acc = fairness::AccuracyPct(
-        EvaluateAll(model, x0, &rng).pred, ds.labels, ds.split.val);
+        EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
     event->Set("val_acc", val_acc);
     if (val_acc >= acceptable) {
       best_snapshot = nn::SnapshotParameters(model);

@@ -20,6 +20,18 @@ common::Result<int64_t> TrainClassifier(const TrainOptions& options,
                                         nn::GnnClassifier* model,
                                         common::Rng* rng,
                                         TrainDiagnostics* diag) {
+  FW_CHECK(model != nullptr);
+  return TrainClassifier(options, ds, PropagateInput(*model, features),
+                         penalty, model, rng, diag);
+}
+
+common::Result<int64_t> TrainClassifier(const TrainOptions& options,
+                                        const data::Dataset& ds,
+                                        const nn::PropagatedInput& input,
+                                        const PenaltyFn& penalty,
+                                        nn::GnnClassifier* model,
+                                        common::Rng* rng,
+                                        TrainDiagnostics* diag) {
   FW_TRACE_SPAN("baseline/train");
   FW_ASSIGN_OR_RETURN(core::CheckpointSession session,
                       core::OpenCheckpoints(options.checkpoint,
@@ -32,7 +44,7 @@ common::Result<int64_t> TrainClassifier(const TrainOptions& options,
   int64_t epochs_run = 0;
   TrainDiagnostics local_diag;
   FW_RETURN_IF_ERROR(core::TrainClassifierPhase(
-      &phase, options, options.deadline, session, ds, features, penalty,
+      &phase, options, options.deadline, session, ds, input, penalty,
       model, rng, &epochs_run, diag != nullptr ? diag : &local_diag));
   return epochs_run;
 }

@@ -14,8 +14,8 @@
 
 namespace fairwos::baselines {
 
-using core::EvaluateAll, core::PenaltyFn, core::TrainDiagnostics,
-    core::TrainOptions, core::ValidationLoss;
+using core::EvaluateAll, core::PenaltyFn, core::PropagateInput,
+    core::TrainDiagnostics, core::TrainOptions, core::ValidationLoss;
 
 /// Trains `model` on `features`, minimising CE(train) [+ penalty], keeping
 /// the best-validation parameters. Steps are guarded: a NaN/Inf loss,
@@ -32,6 +32,16 @@ using core::EvaluateAll, core::PenaltyFn, core::TrainDiagnostics,
 common::Result<int64_t> TrainClassifier(const TrainOptions& options,
                                         const data::Dataset& ds,
                                         const tensor::Tensor& features,
+                                        const PenaltyFn& penalty,
+                                        nn::GnnClassifier* model,
+                                        common::Rng* rng,
+                                        TrainDiagnostics* diag = nullptr);
+
+/// The same loop from an input the caller has already propagated
+/// (PropagateInput), for callers that reuse it after training.
+common::Result<int64_t> TrainClassifier(const TrainOptions& options,
+                                        const data::Dataset& ds,
+                                        const nn::PropagatedInput& input,
                                         const PenaltyFn& penalty,
                                         nn::GnnClassifier* model,
                                         common::Rng* rng,

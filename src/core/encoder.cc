@@ -37,16 +37,17 @@ common::Result<EncoderOutput> PretrainEncoder(
                  "encoder pre-train"};
   int64_t epochs_run = 0;
   TrainDiagnostics diag;
+  const nn::PropagatedInput input = PropagateInput(model, ds.features);
   FW_RETURN_IF_ERROR(TrainClassifierPhase(&phase, options, deadline, session,
-                                          ds, ds.features, /*penalty=*/nullptr,
+                                          ds, input, /*penalty=*/nullptr,
                                           &model, &rng, &epochs_run, &diag));
   EncoderOutput out;
   out.best_val_acc_pct = fairness::AccuracyPct(
-      EvaluateAll(model, ds.features, &rng).pred, ds.labels, ds.split.val);
+      EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
 
   // Eq. 6: apply the frozen encoder as a feature extractor.
   tensor::NoGradGuard no_grad;
-  out.x0 = model.Embed(ds.features, /*training=*/false, &rng).DetachCopy();
+  out.x0 = model.Embed(input, /*training=*/false, &rng).DetachCopy();
   return out;
 }
 

@@ -123,6 +123,9 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
   nn::GnnConfig gnn = config.gnn;
   gnn.in_features = num_attrs;
   nn::GnnClassifier model(gnn, ds.graph, &rng);
+  // X⁰ is fixed from here on (restored, on a resume), so its first-layer
+  // product is taken once for pre-train, pseudo-labels and fine-tune.
+  const nn::PropagatedInput input = PropagateInput(model, x0);
 
   const bool resume_finetune =
       resume != nullptr && resume->phase == kPhaseFinetune;
@@ -157,7 +160,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
     const common::Status status = [&] {
       FW_TRACE_SPAN("fairwos/classifier_pretrain");
       return TrainClassifierPhase(&pretrain, options, config.deadline, session,
-                                  ds, x0, /*penalty=*/nullptr, &model, &rng,
+                                  ds, input, /*penalty=*/nullptr, &model, &rng,
                                   &local_stats.pretrain_epochs_run, &diag);
     }();
     local_stats.encoder_val_acc_pct = pretrain.extra_scalars[0];
@@ -166,7 +169,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
 
     // Pseudo-labels for the counterfactual search (semi-supervised
     // setting). Ground-truth labels override pseudo-labels where known.
-    pseudo_labels = EvaluateAll(model, x0, &rng).pred;
+    pseudo_labels = EvaluateAll(model, input, &rng).pred;
     for (int64_t v : ds.split.train) {
       pseudo_labels[static_cast<size_t>(v)] =
           ds.labels[static_cast<size_t>(v)];
@@ -199,7 +202,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
          {&fallback_snapshot, "fallback snapshot"}};
     if (!resume_finetune) {
       pretrain_val_acc = fairness::AccuracyPct(
-          EvaluateAll(model, x0, &rng).pred, ds.labels, ds.split.val);
+          EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
     }
 
     EpochLoop loop;
@@ -217,7 +220,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       tensor::Tensor frozen_emb;
       {
         tensor::NoGradGuard no_grad;
-        frozen_emb = model.Embed(x0, /*training=*/false, &rng);
+        frozen_emb = model.Embed(input, /*training=*/false, &rng);
       }
       CounterfactualSet cf = [&] {
         FW_TRACE_SPAN("fairwos/counterfactual_search");
@@ -244,7 +247,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       }
 
       // (c) θ update on Eq. 16.
-      tensor::Tensor h = model.Embed(x0, /*training=*/true, &rng);
+      tensor::Tensor h = model.Embed(input, /*training=*/true, &rng);
       tensor::Tensor logits = model.Logits(h);
       tensor::Tensor total =
           tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train);
@@ -306,7 +309,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       // utility tolerance of the pre-trained model; the best-validation
       // epoch is the fallback when no epoch qualifies.
       const double val_acc = fairness::AccuracyPct(
-          EvaluateAll(model, x0, &rng).pred, ds.labels, ds.split.val);
+          EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
       event->Set("val_acc", val_acc);
       if (val_acc >= pretrain_val_acc - config.utility_tolerance_pct) {
         best_snapshot = nn::SnapshotParameters(model);

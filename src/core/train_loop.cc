@@ -151,7 +151,7 @@ common::Status RunEpochs(const EpochLoop& loop, const nn::Module& model,
 common::Status TrainClassifierPhase(
     ClassifierPhase* phase, const TrainOptions& options,
     const common::Deadline& deadline, const CheckpointSession& session,
-    const data::Dataset& ds, const tensor::Tensor& features,
+    const data::Dataset& ds, const nn::PropagatedInput& input,
     const PenaltyFn& penalty, nn::GnnClassifier* model, common::Rng* rng,
     int64_t* epochs_run, TrainDiagnostics* diag) {
   FW_CHECK(model != nullptr);
@@ -172,7 +172,7 @@ common::Status TrainClassifierPhase(
   loop.resume = session.resume ? &*session.resume : nullptr;
   loop.epochs_run = epochs_run;
   loop.step = [&](obs::Event* event) {
-    tensor::Tensor h = model->Embed(features, /*training=*/true, rng);
+    tensor::Tensor h = model->Embed(input, /*training=*/true, rng);
     tensor::Tensor logits = model->Logits(h);
     tensor::Tensor ce =
         tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train);
@@ -195,7 +195,7 @@ common::Status TrainClassifierPhase(
   loop.after_commit = [&](obs::Event* event) {
     // Early stopping on validation *loss*: accuracy on small validation
     // splits is too coarsely quantised to be a stopping signal.
-    const double val_loss = ValidationLoss(*model, features, ds, rng);
+    const double val_loss = ValidationLoss(*model, input, ds, rng);
     event->Set("val_loss", val_loss);
     if (val_loss < best_val_loss) {
       best_val_loss = val_loss;
@@ -244,17 +244,24 @@ common::Status TrainClassifierPhase(
   return status;
 }
 
-nn::PredictionResult EvaluateAll(const nn::GnnClassifier& model,
-                                 const tensor::Tensor& x, common::Rng* rng) {
+nn::PropagatedInput PropagateInput(const nn::GnnClassifier& model,
+                                   const tensor::Tensor& x) {
   tensor::NoGradGuard no_grad;
-  return nn::PredictFromLogits(model.Forward(x, /*training=*/false, rng));
+  return model.encoder().Propagate(x);
+}
+
+nn::PredictionResult EvaluateAll(const nn::GnnClassifier& model,
+                                 const nn::PropagatedInput& input,
+                                 common::Rng* rng) {
+  tensor::NoGradGuard no_grad;
+  return nn::PredictFromLogits(model.Forward(input, /*training=*/false, rng));
 }
 
 double ValidationLoss(const nn::GnnClassifier& model,
-                      const tensor::Tensor& features, const data::Dataset& ds,
-                      common::Rng* rng) {
+                      const nn::PropagatedInput& input,
+                      const data::Dataset& ds, common::Rng* rng) {
   tensor::NoGradGuard no_grad;
-  tensor::Tensor logits = model.Forward(features, /*training=*/false, rng);
+  tensor::Tensor logits = model.Forward(input, /*training=*/false, rng);
   return tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.val).item();
 }
 

@@ -134,26 +134,34 @@ struct ClassifierPhase {
 };
 
 /// CE(train) [+ penalty] through RunEpochs, keeping the best-validation-
-/// loss parameters (patience early stop). Polls `deadline` and uses
-/// `session`, not options.deadline/checkpoint, so one poll sequence and
-/// rotation can span phases. Writes `*epochs_run` and `*diag`.
+/// loss parameters (patience early stop). Every train and validation
+/// forward runs from `input`, so the first layer's sparse product is never
+/// recomputed. Polls `deadline` and uses `session`, not
+/// options.deadline/checkpoint, so one poll sequence and rotation can span
+/// phases. Writes `*epochs_run` and `*diag`.
 common::Status TrainClassifierPhase(
     ClassifierPhase* phase, const TrainOptions& options,
     const common::Deadline& deadline, const CheckpointSession& session,
-    const data::Dataset& ds, const tensor::Tensor& features,
+    const data::Dataset& ds, const nn::PropagatedInput& input,
     const PenaltyFn& penalty, nn::GnnClassifier* model, common::Rng* rng,
     int64_t* epochs_run, TrainDiagnostics* diag);
+
+/// `x` through the model's first sparse product over its own graph, as a
+/// tape-free constant: built once per fit and reused by every epoch.
+nn::PropagatedInput PropagateInput(const nn::GnnClassifier& model,
+                                   const tensor::Tensor& x);
 
 /// Evaluation-mode predictions for every node (the merged prediction type;
 /// only `pred` and `prob1` are filled here).
 nn::PredictionResult EvaluateAll(const nn::GnnClassifier& model,
-                                 const tensor::Tensor& x, common::Rng* rng);
+                                 const nn::PropagatedInput& input,
+                                 common::Rng* rng);
 
 /// Cross-entropy of the model on the validation split (evaluation mode) —
 /// the early-stopping signal used across the repository.
 double ValidationLoss(const nn::GnnClassifier& model,
-                      const tensor::Tensor& features, const data::Dataset& ds,
-                      common::Rng* rng);
+                      const nn::PropagatedInput& input,
+                      const data::Dataset& ds, common::Rng* rng);
 
 }  // namespace fairwos::core
 

@@ -55,6 +55,11 @@ tensor::Tensor GcnConv::Forward(
   return linear_.Forward(tensor::SpMM(adj_norm, x));
 }
 
+tensor::Tensor GcnConv::Transform(const tensor::Tensor& aggregated) const {
+  FW_TRACE_SPAN("gcn_conv/forward");
+  return linear_.Forward(aggregated);
+}
+
 GinConv::GinConv(int64_t in_features, int64_t out_features, float eps,
                  common::Rng* rng)
     : mlp_({in_features, out_features, out_features}, /*dropout=*/0.0f, rng),
@@ -66,9 +71,21 @@ tensor::Tensor GinConv::Forward(
     const std::shared_ptr<const tensor::SparseMatrix>& adj_plain,
     const tensor::Tensor& x, bool training, common::Rng* rng) const {
   FW_TRACE_SPAN("gin_conv/forward");
+  return mlp_.Forward(Aggregate(adj_plain, x), training, rng);
+}
+
+tensor::Tensor GinConv::Aggregate(
+    const std::shared_ptr<const tensor::SparseMatrix>& adj_plain,
+    const tensor::Tensor& x) const {
   tensor::Tensor aggregated = tensor::SpMM(adj_plain, x);
   tensor::Tensor self = tensor::MulScalar(x, 1.0f + eps_);
-  return mlp_.Forward(tensor::Add(self, aggregated), training, rng);
+  return tensor::Add(self, aggregated);
+}
+
+tensor::Tensor GinConv::Transform(const tensor::Tensor& aggregated,
+                                  bool training, common::Rng* rng) const {
+  FW_TRACE_SPAN("gin_conv/forward");
+  return mlp_.Forward(aggregated, training, rng);
 }
 
 SageConv::SageConv(int64_t in_features, int64_t out_features, bool normalize,
@@ -83,7 +100,11 @@ SageConv::SageConv(int64_t in_features, int64_t out_features, bool normalize,
 tensor::Tensor SageConv::Forward(
     const std::shared_ptr<const tensor::SparseMatrix>& neighbor_mean,
     const tensor::Tensor& x) const {
-  tensor::Tensor aggregated = tensor::SpMM(neighbor_mean, x);
+  return Transform(x, tensor::SpMM(neighbor_mean, x));
+}
+
+tensor::Tensor SageConv::Transform(const tensor::Tensor& x,
+                                   const tensor::Tensor& aggregated) const {
   tensor::Tensor out = tensor::Add(self_linear_.Forward(x),
                                    neighbor_linear_.Forward(aggregated));
   return normalize_ ? tensor::L2NormalizeRows(out) : out;
@@ -173,36 +194,74 @@ GnnEncoder::GnnEncoder(const GnnConfig& config, const graph::Graph& g,
 
 tensor::Tensor GnnEncoder::Forward(const tensor::Tensor& x, bool training,
                                    common::Rng* rng) const {
-  return ForwardWith(adj_, x, training, rng);
+  return Forward(Propagate(x), training, rng);
 }
 
 tensor::Tensor GnnEncoder::ForwardWith(
     const std::shared_ptr<const tensor::SparseMatrix>& adj,
     const tensor::Tensor& x, bool training, common::Rng* rng) const {
-  tensor::Tensor h = x;
+  return Forward(PropagateWith(adj, x), training, rng);
+}
+
+PropagatedInput GnnEncoder::Propagate(const tensor::Tensor& x) const {
+  return PropagateWith(adj_, x);
+}
+
+PropagatedInput GnnEncoder::PropagateWith(
+    const std::shared_ptr<const tensor::SparseMatrix>& adj,
+    const tensor::Tensor& x) const {
+  FW_TRACE_SPAN("gnn/propagate");
+  PropagatedInput input{config_.backbone, adj, x, tensor::Tensor()};
   switch (config_.backbone) {
     case Backbone::kGcn:
-      for (size_t l = 0; l < gcn_layers_.size(); ++l) {
-        h = gcn_layers_[l].Forward(adj, h);
-        if (l + 1 < gcn_layers_.size()) h = tensor::Relu(h);
+    case Backbone::kSage:
+      input.aggregate = tensor::SpMM(adj, x);
+      break;
+    case Backbone::kGin:
+      input.aggregate = gin_layers_[0].Aggregate(adj, x);
+      break;
+    case Backbone::kGat:
+      break;
+  }
+  return input;
+}
+
+tensor::Tensor GnnEncoder::Forward(const PropagatedInput& input,
+                                   bool training, common::Rng* rng) const {
+  FW_CHECK(input.backbone == config_.backbone)
+      << "propagated input built for backbone"
+      << BackboneName(input.backbone) << "but the encoder is"
+      << BackboneName(config_.backbone);
+  FW_CHECK(input.adj != nullptr);
+  FW_CHECK_EQ(input.x.dim(0), input.adj->cols())
+      << "propagated input's x does not match its adjacency";
+  const auto& adj = input.adj;
+  // Layer 0 starts from the precomputed aggregate; deeper layers aggregate
+  // their (trainable) input on every call.
+  tensor::Tensor h;
+  switch (config_.backbone) {
+    case Backbone::kGcn:
+      h = gcn_layers_[0].Transform(input.aggregate);
+      for (size_t l = 1; l < gcn_layers_.size(); ++l) {
+        h = gcn_layers_[l].Forward(adj, tensor::Relu(h));
       }
       break;
     case Backbone::kGin:
-      for (size_t l = 0; l < gin_layers_.size(); ++l) {
-        h = gin_layers_[l].Forward(adj, h, training, rng);
-        if (l + 1 < gin_layers_.size()) h = tensor::Relu(h);
+      h = gin_layers_[0].Transform(input.aggregate, training, rng);
+      for (size_t l = 1; l < gin_layers_.size(); ++l) {
+        h = gin_layers_[l].Forward(adj, tensor::Relu(h), training, rng);
       }
       break;
     case Backbone::kSage:
-      for (size_t l = 0; l < sage_layers_.size(); ++l) {
-        h = sage_layers_[l].Forward(adj, h);
-        if (l + 1 < sage_layers_.size()) h = tensor::Relu(h);
+      h = sage_layers_[0].Transform(input.x, input.aggregate);
+      for (size_t l = 1; l < sage_layers_.size(); ++l) {
+        h = sage_layers_[l].Forward(adj, tensor::Relu(h));
       }
       break;
     case Backbone::kGat:
-      for (size_t l = 0; l < gat_layers_.size(); ++l) {
-        h = gat_layers_[l].Forward(adj, h);
-        if (l + 1 < gat_layers_.size()) h = tensor::Relu(h);
+      h = gat_layers_[0].Forward(adj, input.x);
+      for (size_t l = 1; l < gat_layers_.size(); ++l) {
+        h = gat_layers_[l].Forward(adj, tensor::Relu(h));
       }
       break;
   }
@@ -225,6 +284,11 @@ tensor::Tensor GnnClassifier::Embed(const tensor::Tensor& x, bool training,
   return encoder_.Forward(x, training, rng);
 }
 
+tensor::Tensor GnnClassifier::Embed(const PropagatedInput& input,
+                                    bool training, common::Rng* rng) const {
+  return encoder_.Forward(input, training, rng);
+}
+
 tensor::Tensor GnnClassifier::Logits(const tensor::Tensor& h) const {
   return head_.Forward(h);
 }
@@ -232,6 +296,11 @@ tensor::Tensor GnnClassifier::Logits(const tensor::Tensor& h) const {
 tensor::Tensor GnnClassifier::Forward(const tensor::Tensor& x, bool training,
                                       common::Rng* rng) const {
   return Logits(Embed(x, training, rng));
+}
+
+tensor::Tensor GnnClassifier::Forward(const PropagatedInput& input,
+                                      bool training, common::Rng* rng) const {
+  return Logits(Embed(input, training, rng));
 }
 
 tensor::Tensor GnnClassifier::ForwardWith(

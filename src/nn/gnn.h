@@ -41,6 +41,9 @@ class GcnConv : public Module {
       const std::shared_ptr<const tensor::SparseMatrix>& adj_norm,
       const tensor::Tensor& x) const;
 
+  /// The dense half of Forward: aggregated (= Â H) -> aggregated W + b.
+  tensor::Tensor Transform(const tensor::Tensor& aggregated) const;
+
  private:
   Linear linear_;
 };
@@ -54,6 +57,15 @@ class GinConv : public Module {
   tensor::Tensor Forward(
       const std::shared_ptr<const tensor::SparseMatrix>& adj_plain,
       const tensor::Tensor& x, bool training, common::Rng* rng) const;
+
+  /// The sparse half of Forward: (1 + eps) H + A H.
+  tensor::Tensor Aggregate(
+      const std::shared_ptr<const tensor::SparseMatrix>& adj_plain,
+      const tensor::Tensor& x) const;
+
+  /// The dense half of Forward: MLP(aggregated).
+  tensor::Tensor Transform(const tensor::Tensor& aggregated, bool training,
+                           common::Rng* rng) const;
 
  private:
   Mlp mlp_;
@@ -70,6 +82,10 @@ class SageConv : public Module {
   tensor::Tensor Forward(
       const std::shared_ptr<const tensor::SparseMatrix>& neighbor_mean,
       const tensor::Tensor& x) const;
+
+  /// The dense half of Forward, given aggregated = mean_{u∈N(v)} H_u.
+  tensor::Tensor Transform(const tensor::Tensor& x,
+                           const tensor::Tensor& aggregated) const;
 
  private:
   Linear self_linear_;
@@ -114,15 +130,35 @@ struct GnnConfig {
   float gat_negative_slope = 0.2f;
 };
 
+/// An encoder input with its first layer's sparse product already taken:
+/// Â·x for GCN, (1 + ε)x + A·x for GIN, Â_mean·x for SAGE. GAT attention
+/// depends on the weights, so a GAT input carries no aggregate. Built by
+/// GnnEncoder::Propagate / PropagateWith for one backbone and consumed by
+/// GnnEncoder::Forward(const PropagatedInput&, ...).
+struct PropagatedInput {
+  Backbone backbone = Backbone::kGcn;
+  std::shared_ptr<const tensor::SparseMatrix> adj;
+  tensor::Tensor x;
+  tensor::Tensor aggregate;  // undefined for GAT
+};
+
 /// A stack of graph convolutions producing node representations h (the
 /// f_G of paper §III-E). The adjacency operators are captured at
 /// construction since the graph is fixed per dataset.
+///
+/// Dropout is applied only after the last layer, so nothing random or
+/// trainable comes before the first layer's sparse product: for a fixed
+/// input it is the same value on every call. Training loops therefore
+/// Propagate their input once per fit and run every epoch's forward from
+/// the result (the paper's one-layer GNN, §V-A4, then does no sparse work
+/// per epoch at all). Forward(x) and ForwardWith(adj, x) are the same path,
+/// propagating on each call.
 class GnnEncoder : public Module {
  public:
   GnnEncoder(const GnnConfig& config, const graph::Graph& g,
              common::Rng* rng);
 
-  /// x: [N, in_features] -> [N, hidden].
+  /// x: [N, in_features] -> [N, hidden]. ≡ Forward(Propagate(x), ...).
   tensor::Tensor Forward(const tensor::Tensor& x, bool training,
                          common::Rng* rng) const;
 
@@ -130,10 +166,23 @@ class GnnEncoder : public Module {
   /// instead of the one captured at construction — the dynamic-graph
   /// serving path (`adj` must be AdjacencyForBackbone-compatible with this
   /// encoder's backbone; its node count may differ from the construction
-  /// graph's). Forward(x, ...) ≡ ForwardWith(captured_adj, x, ...).
+  /// graph's). ≡ Forward(PropagateWith(adj, x), ...).
   tensor::Tensor ForwardWith(
       const std::shared_ptr<const tensor::SparseMatrix>& adj,
       const tensor::Tensor& x, bool training, common::Rng* rng) const;
+
+  /// The first layer's sparse product of `x` over the captured adjacency
+  /// (or over `adj`). Records the tape like any op: build it under a
+  /// NoGradGuard to reuse it across backward passes.
+  PropagatedInput Propagate(const tensor::Tensor& x) const;
+  PropagatedInput PropagateWith(
+      const std::shared_ptr<const tensor::SparseMatrix>& adj,
+      const tensor::Tensor& x) const;
+
+  /// The stack from a propagated input; aborts if `input` was built for
+  /// another backbone or its x does not match its adjacency.
+  tensor::Tensor Forward(const PropagatedInput& input, bool training,
+                         common::Rng* rng) const;
 
   int64_t hidden() const { return config_.hidden; }
   const GnnConfig& config() const { return config_; }
@@ -157,12 +206,16 @@ class GnnClassifier : public Module {
   /// Node representations h: [N, hidden].
   tensor::Tensor Embed(const tensor::Tensor& x, bool training,
                        common::Rng* rng) const;
+  tensor::Tensor Embed(const PropagatedInput& input, bool training,
+                       common::Rng* rng) const;
 
   /// Class logits from a representation: [N, num_classes].
   tensor::Tensor Logits(const tensor::Tensor& h) const;
 
   /// Convenience: Logits(Embed(x)).
   tensor::Tensor Forward(const tensor::Tensor& x, bool training,
+                         common::Rng* rng) const;
+  tensor::Tensor Forward(const PropagatedInput& input, bool training,
                          common::Rng* rng) const;
 
   /// Logits over an explicit adjacency operator (see

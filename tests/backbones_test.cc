@@ -2,7 +2,11 @@
 // across backbones): every backbone — GCN, GIN, GraphSAGE, GAT — must
 // produce well-shaped outputs, train end-to-end, and plug into Fairwos and
 // every baseline through the registry.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +162,199 @@ TEST(GatConvTest, HeadsConcatenateToHidden) {
 TEST(GatConvTest, RejectsIndivisibleHeads) {
   common::Rng rng(7);
   EXPECT_DEATH(GatConv(4, 9, /*heads=*/2, 0.2f, &rng), "divisible");
+}
+
+// --- Propagate once: the first layer's aggregate, taken ahead of time -----
+
+/// A ring with a chord from every third node, so rows differ in degree.
+graph::Graph ChordRingGraph(int n) {
+  graph::Graph g = RingGraph(n);
+  for (int i = 0; i < n; i += 3) g.AddEdge(i, (i + n / 2) % n);
+  return g;
+}
+
+/// Float bit patterns: EXPECT_EQ on them compares bitwise (+0 vs -0 and NaN
+/// payloads included).
+template <typename Floats>
+std::vector<uint32_t> Bits(const Floats& values) {
+  std::vector<uint32_t> out;
+  out.reserve(values.size());
+  for (float v : values) out.push_back(std::bit_cast<uint32_t>(v));
+  return out;
+}
+
+std::vector<std::vector<uint32_t>> GradBits(const Module& m) {
+  std::vector<std::vector<uint32_t>> out;
+  for (const auto& p : m.parameters()) out.push_back(Bits(p.grad()));
+  return out;
+}
+
+/// The encoder's layer loop as written before the first aggregate was split
+/// out: each conv's own Forward on its input, ReLU between layers, dropout
+/// after the last. Built from the same RNG in the same order as GnnEncoder,
+/// so it holds the same weights.
+class ReferenceEncoder : public Module {
+ public:
+  ReferenceEncoder(const GnnConfig& c, common::Rng* rng) : config_(c) {
+    int64_t in = c.in_features;
+    for (int64_t l = 0; l < c.num_layers; ++l, in = c.hidden) {
+      switch (c.backbone) {
+        case Backbone::kGcn:
+          gcn_.emplace_back(in, c.hidden, rng);
+          break;
+        case Backbone::kGin:
+          gin_.emplace_back(in, c.hidden, c.gin_eps, rng);
+          break;
+        case Backbone::kSage:
+          sage_.emplace_back(in, c.hidden, c.sage_normalize, rng);
+          break;
+        case Backbone::kGat:
+          gat_.emplace_back(in, c.hidden, c.gat_heads, c.gat_negative_slope,
+                            rng);
+          break;
+      }
+    }
+    for (const auto& m : gcn_) RegisterSubmodule(m);
+    for (const auto& m : gin_) RegisterSubmodule(m);
+    for (const auto& m : sage_) RegisterSubmodule(m);
+    for (const auto& m : gat_) RegisterSubmodule(m);
+  }
+
+  tensor::Tensor Forward(
+      const std::shared_ptr<const tensor::SparseMatrix>& adj,
+      const tensor::Tensor& x, bool training, common::Rng* rng) const {
+    tensor::Tensor h = x;
+    for (size_t l = 0; l < static_cast<size_t>(config_.num_layers); ++l) {
+      if (l > 0) h = tensor::Relu(h);
+      switch (config_.backbone) {
+        case Backbone::kGcn:
+          h = gcn_[l].Forward(adj, h);
+          break;
+        case Backbone::kGin:
+          h = gin_[l].Forward(adj, h, training, rng);
+          break;
+        case Backbone::kSage:
+          h = sage_[l].Forward(adj, h);
+          break;
+        case Backbone::kGat:
+          h = gat_[l].Forward(adj, h);
+          break;
+      }
+    }
+    return tensor::Dropout(h, config_.dropout, training, rng);
+  }
+
+ private:
+  GnnConfig config_;
+  std::vector<GcnConv> gcn_;
+  std::vector<GinConv> gin_;
+  std::vector<SageConv> sage_;
+  std::vector<GatConv> gat_;
+};
+
+class PropagateBitsTest
+    : public ::testing::TestWithParam<std::tuple<Backbone, int64_t, bool>> {
+ protected:
+  GnnConfig Config() const {
+    GnnConfig config;
+    config.backbone = std::get<0>(GetParam());
+    config.num_layers = std::get<1>(GetParam());
+    config.in_features = 5;
+    config.hidden = 8;
+    config.dropout = 0.5f;
+    config.gin_eps = 0.25f;  // a non-trivial self weight
+    return config;
+  }
+  bool training() const { return std::get<2>(GetParam()); }
+};
+
+TEST_P(PropagateBitsTest, PropagatedForwardMatchesPlainForwardBitwise) {
+  const GnnConfig config = Config();
+  const graph::Graph g = ChordRingGraph(9);
+  // Three twins with the same weights: the plain path, the propagated path
+  // and the reference layer loop.
+  common::Rng init_a(11), init_b(11), init_ref(11);
+  GnnEncoder plain(config, g, &init_a);
+  GnnEncoder propagated(config, g, &init_b);
+  ReferenceEncoder reference(config, &init_ref);
+  common::Rng data_rng(12);
+  const tensor::Tensor x = tensor::Tensor::RandNormal({9, 5}, 1.0f, &data_rng);
+
+  PropagatedInput input;
+  {
+    tensor::NoGradGuard no_grad;
+    input = propagated.Propagate(x);
+  }
+  EXPECT_EQ(input.aggregate.defined(), config.backbone != Backbone::kGat);
+  // Twin RNGs: every path draws the same dropout masks.
+  common::Rng rng_a(99), rng_b(99), rng_ref(99);
+  const tensor::Tensor h_plain = plain.Forward(x, training(), &rng_a);
+  const tensor::Tensor h_prop = propagated.Forward(input, training(), &rng_b);
+  const tensor::Tensor h_ref = reference.Forward(
+      AdjacencyForBackbone(config.backbone, g), x, training(), &rng_ref);
+  EXPECT_EQ(Bits(h_plain.data()), Bits(h_ref.data()));
+  EXPECT_EQ(Bits(h_prop.data()), Bits(h_ref.data()));
+  const uint64_t next = rng_ref.NextU64();
+  EXPECT_EQ(rng_a.NextU64(), next);
+  EXPECT_EQ(rng_b.NextU64(), next);
+
+  tensor::SumSquares(h_plain).Backward();
+  tensor::SumSquares(h_prop).Backward();
+  tensor::SumSquares(h_ref).Backward();
+  const auto ref_grads = GradBits(reference);
+  ASSERT_EQ(ref_grads.size(), plain.parameters().size());
+  EXPECT_EQ(GradBits(plain), ref_grads);
+  EXPECT_EQ(GradBits(propagated), ref_grads);
+}
+
+TEST_P(PropagateBitsTest, ForwardWithOnAnotherGraphMatchesPropagateWith) {
+  // The dynamic-graph serving path: an encoder built on one graph runs over
+  // another graph's operator, with a different node count.
+  const GnnConfig config = Config();
+  common::Rng init(13), init_ref(13);
+  GnnEncoder encoder(config, ChordRingGraph(9), &init);
+  ReferenceEncoder reference(config, &init_ref);
+  const graph::Graph served = ChordRingGraph(14);
+  const auto adj = AdjacencyForBackbone(config.backbone, served);
+  common::Rng data_rng(14);
+  const tensor::Tensor x = tensor::Tensor::RandNormal({14, 5}, 1.0f, &data_rng);
+  tensor::NoGradGuard no_grad;
+  common::Rng rng_a(7), rng_b(7), rng_ref(7);
+  const tensor::Tensor a = encoder.ForwardWith(adj, x, training(), &rng_a);
+  const tensor::Tensor b =
+      encoder.Forward(encoder.PropagateWith(adj, x), training(), &rng_b);
+  const tensor::Tensor ref = reference.Forward(adj, x, training(), &rng_ref);
+  EXPECT_EQ(a.dim(0), 14);
+  EXPECT_EQ(Bits(a.data()), Bits(ref.data()));
+  EXPECT_EQ(Bits(b.data()), Bits(ref.data()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackbones, PropagateBitsTest,
+    ::testing::Combine(::testing::Values(Backbone::kGcn, Backbone::kGin,
+                                         Backbone::kSage, Backbone::kGat),
+                       ::testing::Values(int64_t{1}, int64_t{2}),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(BackboneName(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param)) + "layer_" +
+             (std::get<2>(info.param) ? "train" : "eval");
+    });
+
+TEST(PropagatedInputTest, RejectsMismatchedInput) {
+  common::Rng rng(14);
+  const graph::Graph g = RingGraph(6);
+  GnnConfig config;
+  config.in_features = 3;
+  config.hidden = 4;
+  GnnEncoder gcn(config, g, &rng);
+  config.backbone = Backbone::kGin;
+  GnnEncoder gin(config, g, &rng);
+  const tensor::Tensor x = tensor::Tensor::Ones({6, 3});
+  EXPECT_DEATH(gcn.Forward(gin.Propagate(x), false, &rng), "built for backbone gin but the encoder is gcn");
+  PropagatedInput stale = gcn.Propagate(x);
+  stale.x = tensor::Tensor::Ones({7, 3});
+  EXPECT_DEATH(gcn.Forward(stale, false, &rng), "adjacency");
 }
 
 TEST(BackboneParseTest, NewNamesRoundTrip) {

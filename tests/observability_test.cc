@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/registry.h"
+#include "baselines/train_util.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -636,6 +637,89 @@ TEST(EncoderTelemetryTest, ObservesEpochWindowAndGradNorm) {
     EXPECT_GT(e.GetDouble("grad_norm"), 0.0) << e.ToJson();
   }
   EXPECT_EQ(epoch_events, 4);
+}
+
+// ------------------------------------------------------ propagate once --
+
+/// The spans named `name` recorded since the last Clear, in order.
+std::vector<obs::TraceEvent> SpansNamed(const std::string& name) {
+  std::vector<obs::TraceEvent> out;
+  for (const auto& ev : obs::TraceRecorder::Global().snapshot()) {
+    if (ev.name == name) out.push_back(ev);
+  }
+  return out;
+}
+
+core::FairwosConfig SmallPropagateConfig() {
+  core::FairwosConfig config;
+  config.encoder.out_dim = 4;
+  config.encoder.epochs = 3;
+  config.pretrain_epochs = 4;
+  config.pretrain_patience = 0;
+  config.finetune_epochs = 3;
+  config.gnn.hidden = 8;
+  return config;
+}
+
+class PropagateCountTest : public TraceTest {};
+
+TEST_F(PropagateCountTest, FairwosPropagatesFeaturesThenPseudoAttributes) {
+  auto ds = data::MakeDataset("toy", {}).value();
+  ASSERT_TRUE(core::FitFairwos(SmallPropagateConfig(), ds, 1, nullptr).ok());
+  // One sparse product per constant input: the features (encoder), then X⁰
+  // (pre-train, pseudo-labels and fine-tune).
+  const auto propagate = SpansNamed("gnn/propagate");
+  ASSERT_EQ(propagate.size(), 2u);
+  EXPECT_NE(propagate[0].path.find("fairwos/encoder_pretrain"),
+            std::string::npos)
+      << propagate[0].path;
+  EXPECT_EQ(propagate[1].path.find("fairwos/encoder_pretrain"),
+            std::string::npos)
+      << propagate[1].path;
+  // Each GCN forward still opens one conv span: encoder 2 per epoch + its
+  // final evaluation + X⁰ extraction (2*3 + 2), pre-train 2 per epoch +
+  // pseudo-labels (2*4 + 1), fine-tune's reference accuracy + 3 per epoch
+  // (1 + 3*3).
+  EXPECT_EQ(SpansNamed("gcn_conv/forward").size(), 8u + 9u + 10u);
+}
+
+TEST_F(PropagateCountTest, FineTuneResumePropagatesRestoredPseudoAttributes) {
+  auto ds = data::MakeDataset("toy", {}).value();
+  const std::string dir = TempPath("fw_propagate_count_resume");
+  fs::remove_all(dir);
+  core::FairwosConfig config = SmallPropagateConfig();
+  config.checkpoint.dir = dir;
+  // Polls 1-3 encoder, 4-7 pre-train; the 9th stops fine-tune epoch 1.
+  config.deadline = common::Deadline::AfterChecks(8);
+  obs::TraceRecorder::Global().Disable();
+  ASSERT_EQ(core::FitFairwos(config, ds, 1, nullptr).status().code(),
+            common::StatusCode::kDeadlineExceeded);
+  obs::TraceRecorder::Global().Enable();
+
+  config.deadline = common::Deadline::Never();
+  config.checkpoint.resume = true;
+  core::FairwosStats stats;
+  ASSERT_TRUE(core::FitFairwos(config, ds, 1, &stats).ok());
+  fs::remove_all(dir);
+  EXPECT_EQ(stats.resume_phase, 2);
+  EXPECT_EQ(SpansNamed("gnn/propagate").size(), 1u);
+  EXPECT_EQ(SpansNamed("gcn_conv/forward").size(), 3u * 2u);  // epochs 1, 2
+}
+
+TEST_F(PropagateCountTest, BaselineTrainerPropagatesItsFeaturesOnce) {
+  auto ds = data::MakeDataset("toy", {}).value();
+  common::Rng rng(1);
+  nn::GnnConfig gnn;
+  gnn.in_features = ds.num_attrs();
+  nn::GnnClassifier model(gnn, ds.graph, &rng);
+  baselines::TrainOptions options;
+  options.epochs = 5;
+  options.patience = 0;
+  ASSERT_TRUE(baselines::TrainClassifier(options, ds, ds.features,
+                                         /*penalty=*/nullptr, &model, &rng)
+                  .ok());
+  EXPECT_EQ(SpansNamed("gnn/propagate").size(), 1u);
+  EXPECT_EQ(SpansNamed("gcn_conv/forward").size(), 2u * 5u);
 }
 
 // ------------------------------------------------------------ string util --
