@@ -6,7 +6,6 @@
 // to track the substrate's performance.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -243,14 +242,12 @@ BENCHMARK(BM_GuardedTrainEpoch)->Arg(1000);
 
 // ---------------------------------------------------------------------------
 // Kernel roofline sweep (--kernels-json FILE): times every KernelBackend
-// entry point the AVX2 backend overrides (the GEMM family, SpMM, Reduce) on
-// the scalar and (when the host supports it) AVX2 backends. The elementwise
-// families run the same code in both backends, so they are not swept. It
-// reports GFLOP/s and effective GB/s, and verifies the determinism contract
-// — scalar and default-AVX2 outputs bytewise equal, and each backend
-// bytewise equal at 1 and 8 threads. Under --fast-math the reassociating
-// kernels are additionally measured against the scalar reference and the
-// max relative error is reported (docs/kernels.md).
+// entry point the AVX2 backend overrides (GemmNN, GemmTN, SpMM) on the
+// scalar and (when the host supports it) AVX2 backends. Every other kernel
+// runs the same code in both backends, so it is not swept. It reports
+// GFLOP/s and effective GB/s, and verifies the determinism contract —
+// scalar and AVX2 outputs bytewise equal, and each backend bytewise equal
+// at 1 and 8 threads (docs/kernels.md).
 // ---------------------------------------------------------------------------
 namespace kernels {
 namespace {
@@ -290,16 +287,6 @@ bool BitEqual(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-double MaxRelErr(const std::vector<float>& ref, const std::vector<float>& got) {
-  double worst = 0.0;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const double denom = std::max(1e-6, std::abs(static_cast<double>(ref[i])));
-    worst = std::max(worst,
-                     std::abs(static_cast<double>(got[i]) - ref[i]) / denom);
-  }
-  return worst;
-}
-
 struct KernelCase {
   const char* name;
   double flops;  // per call
@@ -317,12 +304,10 @@ int RunSweep(const char* path) {
   // Shapes sized so one call is microseconds-to-milliseconds: big enough to
   // dominate ParallelFor overhead, small enough for quick CI runs.
   const int64_t kN = 256, kK = 256, kM = 256;   // dense Gemm family
-  const int64_t kEw = int64_t{1} << 20;         // reduce
   const int64_t kRows = 20000, kDeg = 10, kC = 32;  // SpMM
 
   const auto a = RandomVec(static_cast<size_t>(kN * kK), 11);
   const auto b = RandomVec(static_cast<size_t>(kK * kM), 12);
-  const auto u = RandomVec(static_cast<size_t>(kEw), 13);
 
   // Random ~kDeg-regular CSR adjacency for SpMM.
   std::vector<int64_t> row_ptr(static_cast<size_t>(kRows) + 1, 0);
@@ -346,14 +331,6 @@ int RunSweep(const char* path) {
        },
        static_cast<size_t>(kN * kM)});
   cases.push_back(
-      {"gemm_nt", 2.0 * kN * kK * kM,
-       4.0 * (kN * kK + kK * kM + 2.0 * kN * kM),
-       [&](const tensor::KernelBackend& be, std::vector<float>* out) {
-         std::fill(out->begin(), out->end(), 0.0f);
-         be.GemmNT(a.data(), b.data(), out->data(), kN, kM, kK);
-       },
-       static_cast<size_t>(kN * kM)});
-  cases.push_back(
       {"gemm_tn", 2.0 * kN * kK * kM,
        4.0 * (kN * kK + kK * kM + 2.0 * kN * kM),
        [&](const tensor::KernelBackend& be, std::vector<float>* out) {
@@ -369,13 +346,6 @@ int RunSweep(const char* path) {
                  kC, out->data());
        },
        static_cast<size_t>(kRows * kC)});
-  cases.push_back(
-      {"reduce_sum", static_cast<double>(kEw), 4.0 * kEw,
-       [&](const tensor::KernelBackend& be, std::vector<float>* out) {
-         (*out)[0] = static_cast<float>(
-             be.Reduce(tensor::ReduceKind::kSum, u.data(), kEw));
-       },
-       1});
 
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -406,7 +376,7 @@ int RunSweep(const char* path) {
                     [&] { kc.run(*avx2, &out_avx2); });
     }
 
-    // Determinism contract: scalar vs AVX2 (default mode) and each backend
+    // Determinism contract: scalar vs AVX2 and each backend
     // at 1 vs 8 threads must agree bytewise.
     bool identical = true;
     if (avx2 != nullptr) identical = BitEqual(out_scalar, out_avx2);
@@ -420,15 +390,6 @@ int RunSweep(const char* path) {
     common::SetGlobalThreadCount(1);
     all_identical = all_identical && identical;
 
-    // Fast-math deviation vs the scalar reference (AVX2 only).
-    double fast_math_err = 0.0;
-    if (avx2 != nullptr) {
-      tensor::SetFastMath(true);
-      kc.run(*avx2, &out_threads);
-      tensor::SetFastMath(false);
-      fast_math_err = MaxRelErr(out_scalar, out_threads);
-    }
-
     const double speedup =
         avx2 != nullptr && avx2_m.millis > 0.0 ? scalar_m.millis / avx2_m.millis
                                                : 1.0;
@@ -438,12 +399,10 @@ int RunSweep(const char* path) {
         "    {\"name\": \"%s\", \"flops\": %.0f, \"bytes\": %.0f,\n"
         "     \"scalar\": {\"ms\": %.4f, \"gflops\": %.2f, \"gbs\": %.2f},\n"
         "     \"avx2\": {\"ms\": %.4f, \"gflops\": %.2f, \"gbs\": %.2f},\n"
-        "     \"speedup\": %.2f, \"bit_identical\": %s,\n"
-        "     \"fast_math_max_rel_err\": %.3g}%s\n",
+        "     \"speedup\": %.2f, \"bit_identical\": %s}%s\n",
         kc.name, kc.flops, kc.bytes, scalar_m.millis, scalar_m.gflops,
         scalar_m.gbs, avx2_m.millis, avx2_m.gflops, avx2_m.gbs, speedup,
-        identical ? "true" : "false", fast_math_err,
-        ci + 1 < cases.size() ? "," : "");
+        identical ? "true" : "false", ci + 1 < cases.size() ? "," : "");
     std::printf("%-10s scalar %8.2f GFLOP/s %8.2f GB/s | avx2 %8.2f GFLOP/s "
                 "%8.2f GB/s | x%.2f %s\n",
                 kc.name, scalar_m.gflops, scalar_m.gbs, avx2_m.gflops,
@@ -478,8 +437,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "invalid --simd value\n");
         return 2;
       }
-    } else if (arg == "--fast-math") {
-      fairwos::tensor::SetFastMath(true);
     } else {
       passthrough.push_back(argv[i]);
     }

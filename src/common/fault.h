@@ -28,8 +28,9 @@ enum class FaultSite : int {
   kLossValue = 0,       // tensor::SoftmaxCrossEntropy output scalar
   kGradient,            // parameter gradients at the top of Optimizer::Step
   kParameter,           // parameter values after an optimizer update
-  kCheckpointFlip,      // one payload bit during SaveCheckpoint
-  kCheckpointTruncate,  // drop the tail of the payload during SaveCheckpoint
+  kCheckpointFlip,      // one payload bit in WriteCheckpointEnvelope
+  kCheckpointTruncate,  // drop the tail of the payload in
+                        // WriteCheckpointEnvelope
   kCheckpointRead,      // one payload bit in the buffer read back at load
   kServeBatchForward,   // a serving micro-batch forward pass (engine retries,
                         // then degrades to the last-known-good prediction)

@@ -31,20 +31,6 @@ Dataset WithEdgeDropout(const Dataset& ds, double keep_prob,
   return out;
 }
 
-Dataset WithLabelNoise(const Dataset& ds, double flip_prob, common::Rng* rng) {
-  FW_CHECK_GE(flip_prob, 0.0);
-  FW_CHECK_LE(flip_prob, 1.0);
-  FW_CHECK(rng != nullptr);
-  Dataset out = ds;
-  for (int64_t v : ds.split.train) {
-    if (rng->Bernoulli(flip_prob)) {
-      out.labels[static_cast<size_t>(v)] =
-          1 - out.labels[static_cast<size_t>(v)];
-    }
-  }
-  return out;
-}
-
 Dataset WithMaskedAttributes(const Dataset& ds, double mask_fraction,
                              common::Rng* rng) {
   FW_CHECK_GE(mask_fraction, 0.0);

@@ -16,10 +16,6 @@ Dataset WithFeatureNoise(const Dataset& ds, double stddev, common::Rng* rng);
 Dataset WithEdgeDropout(const Dataset& ds, double keep_prob,
                         common::Rng* rng);
 
-/// Flips each training label independently with probability `flip_prob`
-/// (validation/test labels untouched — they are the measurement).
-Dataset WithLabelNoise(const Dataset& ds, double flip_prob, common::Rng* rng);
-
 /// Zeroes a random fraction of feature *columns* (simulates unavailable
 /// attributes at deployment).
 Dataset WithMaskedAttributes(const Dataset& ds, double mask_fraction,

@@ -166,41 +166,6 @@ double DisparateImpactRatio(const std::vector<int>& pred,
   return DisparateImpactRatio(ComputeGroupConfusion(pred, pred, sens, idx));
 }
 
-double AccuracyEqualityGapPct(const std::vector<int>& pred,
-                              const std::vector<int>& labels,
-                              const std::vector<int>& sens,
-                              const std::vector<int64_t>& idx) {
-  GroupConfusion gc = ComputeGroupConfusion(pred, labels, sens, idx);
-  if (gc.GroupTotal(0) == 0 || gc.GroupTotal(1) == 0) return 0.0;
-  auto acc = [&gc](int s) {
-    return static_cast<double>(gc.count[s][0][0] + gc.count[s][1][1]) /
-           static_cast<double>(gc.GroupTotal(s));
-  };
-  return 100.0 * std::abs(acc(0) - acc(1));
-}
-
-double GroupCalibrationGapPct(const std::vector<float>& prob1,
-                              const std::vector<int>& labels,
-                              const std::vector<int>& sens,
-                              const std::vector<int64_t>& idx) {
-  FW_CHECK_EQ(prob1.size(), labels.size());
-  FW_CHECK_EQ(prob1.size(), sens.size());
-  CheckIndex(labels, idx);
-  double brier[2] = {0.0, 0.0};
-  int64_t count[2] = {0, 0};
-  for (int64_t i : idx) {
-    const int s = sens[static_cast<size_t>(i)];
-    FW_CHECK(s == 0 || s == 1);
-    const double err = static_cast<double>(prob1[static_cast<size_t>(i)]) -
-                       labels[static_cast<size_t>(i)];
-    brier[s] += err * err;
-    ++count[s];
-  }
-  if (count[0] == 0 || count[1] == 0) return 0.0;
-  return 100.0 * std::abs(brier[0] / static_cast<double>(count[0]) -
-                          brier[1] / static_cast<double>(count[1]));
-}
-
 double CounterfactualConsistencyPct(
     const std::vector<int>& pred,
     const std::vector<std::pair<int64_t, int64_t>>& pairs) {

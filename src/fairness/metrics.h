@@ -47,21 +47,6 @@ double DisparateImpactRatio(const std::vector<int>& pred,
                             const std::vector<int>& sens,
                             const std::vector<int64_t>& idx);
 
-/// |ACC(s=0) − ACC(s=1)| over `idx`, percent — overall accuracy equality.
-/// Returns 0 when either group is empty.
-double AccuracyEqualityGapPct(const std::vector<int>& pred,
-                              const std::vector<int>& labels,
-                              const std::vector<int>& sens,
-                              const std::vector<int64_t>& idx);
-
-/// |Brier(s=0) − Brier(s=1)| · 100 over `idx`, where Brier is the mean
-/// squared error of P(y=1) scores — a group calibration gap. Returns 0
-/// when either group is empty.
-double GroupCalibrationGapPct(const std::vector<float>& prob1,
-                              const std::vector<int>& labels,
-                              const std::vector<int>& sens,
-                              const std::vector<int64_t>& idx);
-
 /// Counterfactual consistency: the fraction (percent) of (node,
 /// counterfactual) pairs with identical predictions. `pairs` holds node-id
 /// pairs (v, v'); the metric is the empirical version of the paper's

@@ -1,142 +1,8 @@
 #include "graph/algorithms.h"
 
-#include <algorithm>
 #include <cmath>
-#include <deque>
 
 namespace fairwos::graph {
-
-int64_t ComponentResult::LargestSize() const {
-  std::vector<int64_t> sizes(static_cast<size_t>(num_components), 0);
-  for (int64_t c : component) ++sizes[static_cast<size_t>(c)];
-  int64_t best = 0;
-  for (int64_t s : sizes) best = std::max(best, s);
-  return best;
-}
-
-ComponentResult ConnectedComponents(const Graph& g) {
-  const int64_t n = g.num_nodes();
-  ComponentResult result;
-  result.component.assign(static_cast<size_t>(n), -1);
-  for (int64_t start = 0; start < n; ++start) {
-    if (result.component[static_cast<size_t>(start)] >= 0) continue;
-    const int64_t id = result.num_components++;
-    std::deque<int64_t> queue = {start};
-    result.component[static_cast<size_t>(start)] = id;
-    while (!queue.empty()) {
-      const int64_t u = queue.front();
-      queue.pop_front();
-      for (int64_t v : g.Neighbors(u)) {
-        if (result.component[static_cast<size_t>(v)] < 0) {
-          result.component[static_cast<size_t>(v)] = id;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-  return result;
-}
-
-double LocalClusteringCoefficient(const Graph& g, int64_t v) {
-  const auto& neighbors = g.Neighbors(v);
-  const int64_t deg = static_cast<int64_t>(neighbors.size());
-  if (deg < 2) return 0.0;
-  int64_t links = 0;
-  for (size_t i = 0; i < neighbors.size(); ++i) {
-    for (size_t j = i + 1; j < neighbors.size(); ++j) {
-      if (g.HasEdge(neighbors[i], neighbors[j])) ++links;
-    }
-  }
-  return 2.0 * static_cast<double>(links) /
-         (static_cast<double>(deg) * static_cast<double>(deg - 1));
-}
-
-double AverageClusteringCoefficient(const Graph& g) {
-  if (g.num_nodes() == 0) return 0.0;
-  double total = 0.0;
-  for (int64_t v = 0; v < g.num_nodes(); ++v) {
-    total += LocalClusteringCoefficient(g, v);
-  }
-  return total / static_cast<double>(g.num_nodes());
-}
-
-std::vector<int64_t> DegreeHistogram(const Graph& g) {
-  int64_t max_degree = 0;
-  for (int64_t v = 0; v < g.num_nodes(); ++v) {
-    max_degree = std::max(max_degree, g.Degree(v));
-  }
-  std::vector<int64_t> histogram(static_cast<size_t>(max_degree) + 1, 0);
-  for (int64_t v = 0; v < g.num_nodes(); ++v) {
-    ++histogram[static_cast<size_t>(g.Degree(v))];
-  }
-  return histogram;
-}
-
-Graph ErdosRenyi(int64_t n, double p, common::Rng* rng) {
-  FW_CHECK_GE(n, 0);
-  FW_CHECK_GE(p, 0.0);
-  FW_CHECK_LE(p, 1.0);
-  FW_CHECK(rng != nullptr);
-  Graph g(n);
-  for (int64_t u = 0; u < n; ++u) {
-    for (int64_t v = u + 1; v < n; ++v) {
-      if (rng->Bernoulli(p)) g.AddEdge(u, v);
-    }
-  }
-  return g;
-}
-
-Graph BarabasiAlbert(int64_t n, int64_t attach, common::Rng* rng) {
-  FW_CHECK_GE(attach, 1);
-  FW_CHECK_GT(n, attach);
-  FW_CHECK(rng != nullptr);
-  Graph g(n);
-  // Seed clique over the first attach+1 nodes.
-  for (int64_t u = 0; u <= attach; ++u) {
-    for (int64_t v = u + 1; v <= attach; ++v) g.AddEdge(u, v);
-  }
-  // Degree-proportional sampling via a repeated-endpoint urn.
-  std::vector<int64_t> urn;
-  for (int64_t u = 0; u <= attach; ++u) {
-    for (int64_t v : g.Neighbors(u)) {
-      (void)v;
-      urn.push_back(u);
-    }
-  }
-  for (int64_t u = attach + 1; u < n; ++u) {
-    std::vector<int64_t> targets;
-    while (static_cast<int64_t>(targets.size()) < attach) {
-      const int64_t candidate =
-          urn[static_cast<size_t>(rng->UniformInt(
-              static_cast<int64_t>(urn.size())))];
-      if (std::find(targets.begin(), targets.end(), candidate) ==
-          targets.end()) {
-        targets.push_back(candidate);
-      }
-    }
-    for (int64_t t : targets) {
-      if (g.AddEdge(u, t)) {
-        urn.push_back(u);
-        urn.push_back(t);
-      }
-    }
-  }
-  return g;
-}
-
-Graph TwoBlockSbm(int64_t n, double p_in, double p_out, common::Rng* rng) {
-  FW_CHECK_GE(n, 2);
-  FW_CHECK(rng != nullptr);
-  Graph g(n);
-  const int64_t half = n / 2;
-  for (int64_t u = 0; u < n; ++u) {
-    for (int64_t v = u + 1; v < n; ++v) {
-      const bool same_block = (u < half) == (v < half);
-      if (rng->Bernoulli(same_block ? p_in : p_out)) g.AddEdge(u, v);
-    }
-  }
-  return g;
-}
 
 std::vector<int> SpectralBipartition(const Graph& g, int64_t iterations,
                                      common::Rng* rng) {

@@ -1,7 +1,4 @@
-// Classical graph algorithms used for dataset diagnostics and tests:
-// connected components, clustering coefficients, degree histograms, and
-// standard random-graph generators (the substrates behind the synthetic
-// benchmarks are tested against these).
+// Graph algorithms the fairness baselines run on the input graph.
 #ifndef FAIRWOS_GRAPH_ALGORITHMS_H_
 #define FAIRWOS_GRAPH_ALGORITHMS_H_
 
@@ -12,39 +9,6 @@
 #include "graph/graph.h"
 
 namespace fairwos::graph {
-
-/// Component id per node (0-based, contiguous) plus the component count.
-struct ComponentResult {
-  std::vector<int64_t> component;
-  int64_t num_components = 0;
-
-  /// Size of the largest component.
-  int64_t LargestSize() const;
-};
-ComponentResult ConnectedComponents(const Graph& g);
-
-/// Local clustering coefficient of `v`: 2·|edges among neighbors| /
-/// (deg·(deg−1)); 0 for degree < 2.
-double LocalClusteringCoefficient(const Graph& g, int64_t v);
-
-/// Mean local clustering coefficient over all nodes.
-double AverageClusteringCoefficient(const Graph& g);
-
-/// histogram[d] = number of nodes with degree d (length = max degree + 1;
-/// a single zero entry for an empty graph).
-std::vector<int64_t> DegreeHistogram(const Graph& g);
-
-/// G(n, p) Erdős–Rényi random graph.
-Graph ErdosRenyi(int64_t n, double p, common::Rng* rng);
-
-/// Barabási–Albert preferential attachment: starts from a clique of
-/// `attach` + 1 nodes, each new node attaches to `attach` distinct
-/// existing nodes with probability proportional to degree.
-Graph BarabasiAlbert(int64_t n, int64_t attach, common::Rng* rng);
-
-/// Two-block stochastic block model: nodes [0, n/2) vs [n/2, n) with
-/// within-block edge probability `p_in` and cross-block `p_out`.
-Graph TwoBlockSbm(int64_t n, double p_in, double p_out, common::Rng* rng);
 
 /// Spectral bipartition: the sign pattern of (an approximation of) the
 /// second dominant eigenvector of the row-normalized adjacency, computed

@@ -28,7 +28,6 @@ namespace fairwos::nn {
 namespace {
 
 constexpr uint32_t kMagic = 0x46574350;  // "FWCP"
-constexpr uint32_t kModuleVersion = kModuleCheckpointVersion;
 constexpr uint32_t kTrainStateVersion = kTrainStateCheckpointVersion;
 constexpr size_t kHeaderBytes = 3 * sizeof(uint64_t);
 
@@ -257,70 +256,6 @@ int64_t ParseRotationSeq(const std::string& filename) {
 }
 
 }  // namespace
-
-common::Status SaveCheckpoint(const std::string& path, const Module& module) {
-  FW_TRACE_SPAN("checkpoint/save");
-  std::string payload;
-  AppendU64(&payload, module.parameters().size());
-  for (const auto& p : module.parameters()) {
-    AppendU64(&payload, p.shape().size());
-    for (int64_t d : p.shape()) AppendU64(&payload, static_cast<uint64_t>(d));
-    payload.append(reinterpret_cast<const char*>(p.data().data()),
-                   p.data().size() * sizeof(float));
-  }
-  return WriteCheckpointEnvelope(path, kModuleVersion, std::move(payload));
-}
-
-common::Status LoadCheckpoint(const std::string& path, const Module& module) {
-  std::string payload;
-  FW_RETURN_IF_ERROR(ReadCheckpointEnvelope(path, kModuleVersion, &payload));
-
-  // The payload is authenticated; a parse failure past this point means an
-  // architecture mismatch or a malformed writer, not disk corruption.
-  PayloadReader reader(payload);
-  uint64_t count = 0;
-  if (!reader.ReadU64(&count)) {
-    return common::Status::IoError("payload too short for header: " + path);
-  }
-  if (count != module.parameters().size()) {
-    return common::Status::FailedPrecondition(
-        "checkpoint has " + std::to_string(count) + " parameters, module has " +
-        std::to_string(module.parameters().size()));
-  }
-  // Stage everything first so a mismatch mid-payload leaves the module intact.
-  std::vector<std::vector<float>> staged;
-  staged.reserve(count);
-  for (const auto& p : module.parameters()) {
-    uint64_t rank = 0;
-    if (!reader.ReadU64(&rank)) {
-      return common::Status::IoError("payload ends inside a shape: " + path);
-    }
-    tensor::Shape shape(rank);
-    for (auto& d : shape) {
-      uint64_t v = 0;
-      if (!reader.ReadU64(&v)) {
-        return common::Status::IoError("payload ends inside a shape: " + path);
-      }
-      d = static_cast<int64_t>(v);
-    }
-    if (shape != p.shape()) {
-      return common::Status::FailedPrecondition(
-          "checkpoint shape " + tensor::ShapeToString(shape) +
-          " does not match module shape " + tensor::ShapeToString(p.shape()));
-    }
-    std::vector<float> data(p.data().size());
-    if (!reader.ReadFloats(&data)) {
-      return common::Status::IoError("payload ends inside tensor data: " +
-                                     path);
-    }
-    staged.push_back(std::move(data));
-  }
-  if (!reader.exhausted()) {
-    return common::Status::IoError("payload has trailing bytes: " + path);
-  }
-  RestoreParameters(module, staged);
-  return common::Status::OK();
-}
 
 common::Status SaveTrainState(const std::string& path,
                               const TrainState& state) {

@@ -1,18 +1,15 @@
-// Model checkpointing: serialize a Module's parameters to a small binary
-// file and restore them into an identically-constructed module — plus the
-// durable crash-resume layer (docs/resume.md): full-training-state v3
-// checkpoints, rotating keep-N retention, and latest-valid selection.
+// The FWCP checkpoint envelope and the durable crash-resume layer
+// (docs/resume.md): full-training-state v3 checkpoints, rotating keep-N
+// retention, and latest-valid selection.
 //
-// Format v2 (little-endian, see docs/robustness.md):
+// Envelope (little-endian, see docs/robustness.md):
 //   u64  (magic "FWCP" << 32) | version
 //   u64  payload byte size
 //   u64  CRC-32 of the payload (zero-extended)
-//   payload:
-//     u64  parameter count
-//     per parameter: u64 rank, u64 dims..., float32 data
+//   payload
 //
-// Format v3 shares the header and CRC envelope; its payload serializes a
-// complete TrainState (see the struct below for the field order).
+// The v3 payload serializes a complete TrainState (see SaveTrainState for
+// the field order); v4 is the frozen model artifact (serve/artifact.h).
 //
 // Robustness guarantees:
 //   * Saves are atomic AND durable: the file is written to `<path>.tmp`,
@@ -32,7 +29,7 @@
 //   IoError             unreadable, truncated, size-mismatched, or
 //                       CRC-mismatched (corrupt) file
 //   FailedPrecondition  well-formed checkpoint whose parameter count or
-//                       shapes do not match the module
+//                       sizes do not match the model (CheckParamsCompatible)
 #ifndef FAIRWOS_NN_CHECKPOINT_H_
 #define FAIRWOS_NN_CHECKPOINT_H_
 
@@ -51,9 +48,8 @@ namespace fairwos::nn {
 // FWCP envelope — shared by all checkpoint-family codecs
 // --------------------------------------------------------------------------
 
-/// Envelope versions in use. v2/v3 are implemented here; v4 is the frozen
-/// model artifact (serve/artifact.h), which reuses the same envelope.
-inline constexpr uint32_t kModuleCheckpointVersion = 2;
+/// Envelope versions in use. v3 is implemented here; v4 is the frozen model
+/// artifact (serve/artifact.h), which reuses the same envelope.
 inline constexpr uint32_t kTrainStateCheckpointVersion = 3;
 inline constexpr uint32_t kModelArtifactVersion = 4;
 
@@ -78,15 +74,6 @@ common::Status ReadCheckpointEnvelope(const std::string& path,
 common::Status CheckParamsCompatible(
     const std::vector<tensor::Tensor>& params,
     const std::vector<std::vector<float>>& saved, const char* what);
-
-/// Writes every parameter tensor to `path` (atomically and durably;
-/// overwrites existing files).
-common::Status SaveCheckpoint(const std::string& path, const Module& module);
-
-/// Restores parameters saved by SaveCheckpoint. The module must have the
-/// same parameter count and shapes (i.e. be built from the same config).
-/// On any error the module is left untouched.
-common::Status LoadCheckpoint(const std::string& path, const Module& module);
 
 // --------------------------------------------------------------------------
 // Durable crash-resume (docs/resume.md)
@@ -117,8 +104,8 @@ struct TrainState {
   std::vector<int64_t> counters;
 };
 
-/// Writes `state` to `path` as a v3 checkpoint (atomic + durable, like
-/// SaveCheckpoint).
+/// Writes `state` to `path` as a v3 checkpoint (atomic + durable, through
+/// WriteCheckpointEnvelope).
 common::Status SaveTrainState(const std::string& path,
                               const TrainState& state);
 

@@ -13,11 +13,4 @@ tensor::Tensor GlorotUniform(int64_t fan_in, int64_t fan_out,
   return tensor::Tensor::RandUniform({fan_in, fan_out}, -a, a, rng);
 }
 
-tensor::Tensor HeNormal(int64_t fan_in, int64_t fan_out, common::Rng* rng) {
-  FW_CHECK_GT(fan_in, 0);
-  FW_CHECK_GT(fan_out, 0);
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  return tensor::Tensor::RandNormal({fan_in, fan_out}, stddev, rng);
-}
-
 }  // namespace fairwos::nn

@@ -1,4 +1,4 @@
-// Weight initialization schemes.
+// Weight initialization (Glorot/Xavier uniform).
 #ifndef FAIRWOS_NN_INIT_H_
 #define FAIRWOS_NN_INIT_H_
 
@@ -11,9 +11,6 @@ namespace fairwos::nn {
 /// The default for linear and graph-convolution weights.
 tensor::Tensor GlorotUniform(int64_t fan_in, int64_t fan_out,
                              common::Rng* rng);
-
-/// He/Kaiming normal: N(0, sqrt(2 / fan_in)); used before ReLU stacks.
-tensor::Tensor HeNormal(int64_t fan_in, int64_t fan_out, common::Rng* rng);
 
 }  // namespace fairwos::nn
 

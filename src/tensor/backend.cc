@@ -362,15 +362,8 @@ double CpuBackend::ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
 namespace {
 
 std::atomic<const KernelBackend*> g_active{nullptr};
-std::atomic<bool> g_fast_math{false};
 std::mutex g_select_mu;
 SimdMode g_requested_mode = SimdMode::kAuto;
-
-bool EnvTruthy(const char* value) {
-  if (value == nullptr) return false;
-  const std::string v(value);
-  return v == "1" || v == "true" || v == "on";
-}
 
 void InitFromEnvOnce() {
   static std::once_flag once;
@@ -380,9 +373,6 @@ void InitFromEnvOnce() {
       auto parsed = ParseSimdMode(env);
       FW_CHECK(parsed.ok()) << "FAIRWOS_SIMD: " << parsed.status().ToString();
       mode = *parsed;
-    }
-    if (EnvTruthy(std::getenv("FAIRWOS_FAST_MATH"))) {
-      g_fast_math.store(true, std::memory_order_relaxed);
     }
     const common::Status s = SelectBackend(mode);
     FW_CHECK(s.ok()) << "FAIRWOS_SIMD: " << s.ToString();
@@ -454,14 +444,6 @@ const KernelBackend& ActiveBackend() {
   return *g_active.load(std::memory_order_acquire);
 }
 
-bool FastMathEnabled() {
-  return g_fast_math.load(std::memory_order_relaxed);
-}
-
-void SetFastMath(bool enabled) {
-  g_fast_math.store(enabled, std::memory_order_relaxed);
-}
-
 BackendInfo ActiveBackendInfo() {
   BackendInfo info;
   info.active = ActiveBackend().name();
@@ -471,7 +453,6 @@ BackendInfo ActiveBackendInfo() {
   }
   info.cpu_features = common::CpuFeatureString(common::DetectCpuFeatures());
   info.avx2_supported = common::CpuSupportsAvx2Fma();
-  info.fast_math = FastMathEnabled();
   return info;
 }
 

@@ -5,19 +5,17 @@
 // bit-identical-at-any-thread-count baseline, docs/parallelism.md) and an
 // AVX2/FMA backend selected at runtime by CPUID dispatch.
 //
-// Contract: with fast-math OFF (the default), every backend must produce
-// bit-identical results to the scalar reference at any thread count — the
-// AVX2 backend therefore only vectorizes kernels whose per-element operation
-// sequence is preserved exactly (per-lane mul-then-add), and falls back to
-// the scalar path where vectorization would reassociate a reduction (GemmNT
-// dot products, Reduce). `SetFastMath(true)` opts into FMA-fused and
-// vector-reassociated variants that are still deterministic for a fixed
-// chunk layout but differ from scalar within documented tolerances (see
-// docs/kernels.md and tests/kernel_backend_test.cc).
+// Contract: every backend must produce bit-identical results to the scalar
+// reference at any thread count — the AVX2 backend therefore only
+// vectorizes kernels whose per-element operation sequence is preserved
+// exactly (per-lane mul-then-add). GemmNT dot products and Reduce would
+// reassociate a sum under vectorization, so they have no hook and every
+// backend runs the scalar body (see docs/kernels.md and
+// tests/kernel_backend_test.cc).
 //
 // Threading: the public entry points own the ParallelFor chunking (same
-// grain discipline ops.cc always used); subclasses override the GEMM, SpMM
-// and Reduce per-chunk hooks and never see the thread count. The
+// grain discipline ops.cc always used); subclasses override the GemmNN,
+// GemmTN and SpMM per-chunk hooks and never see the thread count. The
 // elementwise families have no hook: they are memory-bound, the compiler
 // vectorizes the one shared implementation, and every backend runs it.
 #ifndef FAIRWOS_TENSOR_BACKEND_H_
@@ -110,10 +108,10 @@ class KernelBackend {
 };
 
 /// Shared CPU skeleton: implements every public entry point with the
-/// repo-standard ParallelFor chunking. The GEMM, SpMM and Reduce chunk
+/// repo-standard ParallelFor chunking. The GemmNN, GemmTN and SpMM chunk
 /// bodies are protected virtual hooks whose default implementations ARE the
-/// scalar reference kernels; vector backends override only the hooks whose
-/// vectorization preserves bit-identity (or is gated on fast-math).
+/// scalar reference kernels; vector backends override them only where
+/// vectorization preserves bit-identity.
 class CpuBackend : public KernelBackend {
  public:
   void GemmNN(const float* a, const float* b, float* c, int64_t n, int64_t k,
@@ -142,9 +140,9 @@ class CpuBackend : public KernelBackend {
   virtual void GemmNNChunk(const float* a, const float* b, float* c,
                            int64_t lo, int64_t hi, int64_t k,
                            int64_t m) const;
-  virtual void GemmNTChunk(const float* a, const float* b, float* c,
-                           int64_t lo, int64_t hi, int64_t m,
-                           int64_t k) const;
+  /// Not a hook: a vectorized dot product would reassociate the sum.
+  void GemmNTChunk(const float* a, const float* b, float* c, int64_t lo,
+                   int64_t hi, int64_t m, int64_t k) const;
   /// Output rows [lo, hi) of c = aᵀ·b, with the full i ∈ [0, n) outer loop
   /// run inside the chunk so each c element keeps the serial accumulation
   /// order.
@@ -156,9 +154,9 @@ class CpuBackend : public KernelBackend {
                          const float* values, int64_t lo, int64_t hi,
                          const float* x, int64_t x_cols, float* y) const;
   /// One kElemGrain-sized partial; the base class combines partials in
-  /// chunk order.
-  virtual double ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
-                             int64_t hi) const;
+  /// chunk order. Not a hook, for the same reason as GemmNTChunk.
+  double ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
+                     int64_t hi) const;
 };
 
 /// The portable reference backend: CpuBackend's default hooks, unmodified.
@@ -168,10 +166,8 @@ class ScalarBackend final : public CpuBackend {
 };
 
 /// AVX2/FMA backend (hooks defined in backend_avx2.cc, compiled with
-/// -mavx2 -mfma). With fast-math off, GemmNN, GemmTN and SpMM are
-/// vectorized bit-identically to scalar, and GemmNT and Reduce run the
-/// scalar hooks; with fast-math on it additionally fuses multiply-add and
-/// vectorizes GemmNT and Reduce.
+/// -mavx2 -mfma). GemmNN, GemmTN and SpMM are vectorized bit-identically
+/// to scalar; everything else runs the shared scalar code.
 class Avx2Backend final : public CpuBackend {
  public:
   const char* name() const override { return "avx2"; }
@@ -179,15 +175,11 @@ class Avx2Backend final : public CpuBackend {
  protected:
   void GemmNNChunk(const float* a, const float* b, float* c, int64_t lo,
                    int64_t hi, int64_t k, int64_t m) const override;
-  void GemmNTChunk(const float* a, const float* b, float* c, int64_t lo,
-                   int64_t hi, int64_t m, int64_t k) const override;
   void GemmTNChunk(const float* a, const float* b, float* c, int64_t lo,
                    int64_t hi, int64_t n, int64_t k, int64_t m) const override;
   void SpmmChunk(const int64_t* row_ptr, const int64_t* col_idx,
                  const float* values, int64_t lo, int64_t hi, const float* x,
                  int64_t x_cols, float* y) const override;
-  double ReduceChunk(ReduceKind kind, const float* x, int64_t lo,
-                     int64_t hi) const override;
 };
 
 // ---------------------------------------------------------------------------
@@ -209,12 +201,6 @@ const KernelBackend& ActiveBackend();
 /// concurrently running kernels; call during startup/flag parsing only.
 common::Status SelectBackend(SimdMode mode);
 
-/// Opt-in fast-math (FMA fusion + vector-reassociated reductions in the
-/// AVX2 backend; no effect on the scalar backend). Defaults to off, or to
-/// FAIRWOS_FAST_MATH=1/true/on from the environment.
-bool FastMathEnabled();
-void SetFastMath(bool enabled);
-
 /// Singletons, for tests and benches that compare backends directly.
 const KernelBackend& GetScalarBackend();
 /// Null when the host (or build target) lacks AVX2+FMA.
@@ -226,6 +212,8 @@ struct BackendInfo {
   std::string requested_mode;  // "auto" | "scalar" | "avx2"
   std::string cpu_features;    // CpuFeatureString of the host
   bool avx2_supported = false;
+  // Always false: the kernels have no tolerance mode. Kept because the
+  // end-to-end bench records it in its environment block.
   bool fast_math = false;
 };
 BackendInfo ActiveBackendInfo();

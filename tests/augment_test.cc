@@ -1,49 +1,11 @@
-// Tests for the learning-rate schedules and dataset augmentation helpers.
-#include <cmath>
-
+// Tests for the dataset augmentation helpers.
 #include <gtest/gtest.h>
 
 #include "data/augment.h"
 #include "data/synthetic.h"
-#include "nn/schedule.h"
 
 namespace fairwos {
 namespace {
-
-TEST(ScheduleTest, ConstantIsOne) {
-  nn::ConstantSchedule schedule;
-  EXPECT_FLOAT_EQ(schedule.Multiplier(0), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(1000), 1.0f);
-}
-
-TEST(ScheduleTest, StepDecayHalvesAtBoundaries) {
-  nn::StepDecaySchedule schedule(10, 0.5f);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(0), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(9), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(10), 0.5f);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(25), 0.25f);
-}
-
-TEST(ScheduleTest, CosineEndpointsAndMonotonicity) {
-  nn::CosineSchedule schedule(100, 0.1f);
-  EXPECT_NEAR(schedule.Multiplier(0), 1.0f, 1e-6);
-  EXPECT_NEAR(schedule.Multiplier(100), 0.1f, 1e-6);
-  EXPECT_NEAR(schedule.Multiplier(1000), 0.1f, 1e-6);
-  float prev = 2.0f;
-  for (int e = 0; e <= 100; e += 10) {
-    const float m = schedule.Multiplier(e);
-    EXPECT_LT(m, prev);
-    prev = m;
-  }
-}
-
-TEST(ScheduleTest, WarmupRampsLinearly) {
-  nn::WarmupSchedule schedule(10, 0.1f);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(0), 0.1f);
-  EXPECT_NEAR(schedule.Multiplier(5), 0.55f, 1e-6);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(10), 1.0f);
-  EXPECT_FLOAT_EQ(schedule.Multiplier(999), 1.0f);
-}
 
 class AugmentTest : public ::testing::Test {
  protected:
@@ -76,19 +38,6 @@ TEST_F(AugmentTest, EdgeDropoutBounds) {
               0.15 * static_cast<double>(ds_.graph.num_edges()));
 }
 
-TEST_F(AugmentTest, LabelNoiseOnlyTouchesTrain) {
-  common::Rng rng(4);
-  auto flipped = data::WithLabelNoise(ds_, 1.0, &rng);
-  for (int64_t v : ds_.split.train) {
-    EXPECT_NE(flipped.labels[static_cast<size_t>(v)],
-              ds_.labels[static_cast<size_t>(v)]);
-  }
-  for (int64_t v : ds_.split.test) {
-    EXPECT_EQ(flipped.labels[static_cast<size_t>(v)],
-              ds_.labels[static_cast<size_t>(v)]);
-  }
-}
-
 TEST_F(AugmentTest, MaskedAttributesZeroWholeColumns) {
   common::Rng rng(5);
   auto masked = data::WithMaskedAttributes(ds_, 0.3, &rng);
@@ -109,8 +58,6 @@ TEST_F(AugmentTest, AugmentedDatasetsStillValidate) {
       data::ValidateDataset(data::WithFeatureNoise(ds_, 0.1, &rng)).ok());
   EXPECT_TRUE(
       data::ValidateDataset(data::WithEdgeDropout(ds_, 0.8, &rng)).ok());
-  EXPECT_TRUE(
-      data::ValidateDataset(data::WithLabelNoise(ds_, 0.1, &rng)).ok());
   EXPECT_TRUE(
       data::ValidateDataset(data::WithMaskedAttributes(ds_, 0.2, &rng)).ok());
 }

@@ -1,13 +1,11 @@
 // The kernel-backend determinism contract (docs/kernels.md): the scalar
-// and AVX2 backends must produce bytewise-identical results for every
-// entry point the AVX2 backend overrides (GEMM, SpMM, Reduce), at any
-// thread count; the opt-in fast-math kernels must stay within documented
-// tolerances of the scalar reference. The elementwise families run one
-// shared implementation in both backends, so they need no pair test.
-// Plus the 64-byte alignment of tensor storage.
+// and AVX2 backends must produce bytewise-identical results for the GEMM
+// family, SpMM and Reduce at any thread count, and a row of a GemmNN or
+// SpMM product must not depend on which other rows are computed with it.
+// The elementwise families run one shared implementation in both backends,
+// so they need no pair test. Plus the 64-byte alignment of tensor storage.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -141,57 +139,69 @@ TEST_F(BackendPairTest, ReduceBitIdenticalAcrossBackendsAndThreads) {
   }
 }
 
-// --- Fast-math tolerance (docs/kernels.md) ---------------------------------
+// --- Row locality ----------------------------------------------------------
 
-/// RAII toggle so a failing ASSERT cannot leave fast-math on for later
-/// tests.
-struct FastMathOn {
-  FastMathOn() { SetFastMath(true); }
-  ~FastMathOn() { SetFastMath(false); }
-};
+// Computing only a gathered subset of rows gives each of those rows the same
+// bytes as the full product: the precondition for serving a batch from its
+// own rows instead of the whole graph.
+TEST_F(BackendPairTest, GatheredRowsMatchFullProductBitwise) {
+  const std::vector<int64_t> subset = {49, 0, 7, 8, 21, 3};
+  const auto gathered = [&](const std::vector<float>& full, int64_t width) {
+    std::vector<float> rows;
+    for (int64_t r : subset) {
+      rows.insert(rows.end(), full.begin() + r * width,
+                  full.begin() + (r + 1) * width);
+    }
+    return rows;
+  };
 
-TEST_F(BackendPairTest, FastMathGemmWithinTolerance) {
-  const int64_t n = 61, k = 127, m = 35;
-  const auto a = RandomVec(static_cast<size_t>(n * k), 14, false);
-  const auto b = RandomVec(static_cast<size_t>(k * m), 15, false);
-  std::vector<float> ref(static_cast<size_t>(n * m), 0.0f);
-  GetScalarBackend().GemmNN(a.data(), b.data(), ref.data(), n, k, m);
-  std::vector<float> fast(static_cast<size_t>(n * m), 0.0f);
-  {
-    FastMathOn fm;
-    avx2_->GemmNN(a.data(), b.data(), fast.data(), n, k, m);
+  const int64_t n = 50, k = 37, m = 41;  // m = 32 + 8 + 1 exercises tails
+  const auto a = RandomVec(static_cast<size_t>(n * k), 30, true);
+  const auto b = RandomVec(static_cast<size_t>(k * m), 31, true);
+  const auto a_sub = gathered(a, k);
+
+  common::Rng rng(32);
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<int64_t> col_idx;
+  for (int64_t r = 0; r < n; ++r) {
+    for (int64_t d = 0; d <= r % 5; ++d) col_idx.push_back(rng.UniformInt(n));
+    row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(col_idx.size());
   }
-  // FMA reassociation changes rounding, not math. The documented tolerance
-  // (docs/kernels.md) is the standard accumulated-rounding bound: for a
-  // length-k dot product, |fast - exact| <= k·ε·Σ|a·b| with ε = 2^-24, so
-  // fast vs scalar differ by at most twice that. Normalizing by Σ|a·b|
-  // (not by the result) keeps the bound meaningful under cancellation.
-  std::vector<float> abs_a(a.size()), abs_b(b.size());
-  for (size_t i = 0; i < a.size(); ++i) abs_a[i] = std::abs(a[i]);
-  for (size_t i = 0; i < b.size(); ++i) abs_b[i] = std::abs(b[i]);
-  std::vector<float> l1(static_cast<size_t>(n * m), 0.0f);
-  GetScalarBackend().GemmNN(abs_a.data(), abs_b.data(), l1.data(), n, k, m);
-  const double eps = 1.0 / (1 << 24);
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const double bound = 2.0 * static_cast<double>(k) * eps * l1[i] + 1e-12;
-    EXPECT_LT(std::abs(static_cast<double>(fast[i]) - ref[i]), bound)
-        << "element " << i;
+  const auto vals = RandomVec(col_idx.size(), 33, true);
+  std::vector<int64_t> sub_ptr = {0};
+  std::vector<int64_t> sub_idx;
+  std::vector<float> sub_vals;
+  for (int64_t r : subset) {
+    for (int64_t p = row_ptr[static_cast<size_t>(r)];
+         p < row_ptr[static_cast<size_t>(r) + 1]; ++p) {
+      sub_idx.push_back(col_idx[static_cast<size_t>(p)]);
+      sub_vals.push_back(vals[static_cast<size_t>(p)]);
+    }
+    sub_ptr.push_back(static_cast<int64_t>(sub_idx.size()));
   }
-}
+  const auto x = RandomVec(static_cast<size_t>(n * m), 34, true);
+  const int64_t rows = static_cast<int64_t>(subset.size());
 
-TEST_F(BackendPairTest, FastMathReduceWithinToleranceAndThreadStable) {
-  const int64_t n = 1 << 18;
-  const auto a = RandomVec(static_cast<size_t>(n), 16, false);
-  const double ref = GetScalarBackend().Reduce(ReduceKind::kSum, a.data(), n);
-  FastMathOn fm;
-  common::SetGlobalThreadCount(1);
-  const double f1 = avx2_->Reduce(ReduceKind::kSum, a.data(), n);
-  common::SetGlobalThreadCount(8);
-  const double f8 = avx2_->Reduce(ReduceKind::kSum, a.data(), n);
-  // The 4-lane double accumulation reassociates relative to scalar, but the
-  // chunk structure is still thread-count independent.
-  EXPECT_EQ(f1, f8);
-  EXPECT_NEAR(f1, ref, 1e-4 * std::max(1.0, std::abs(ref)));
+  for (const KernelBackend* backend : {&GetScalarBackend(), avx2_}) {
+    for (int threads : {1, 8}) {
+      common::SetGlobalThreadCount(threads);
+      std::vector<float> c_full(static_cast<size_t>(n * m), 0.0f);
+      backend->GemmNN(a.data(), b.data(), c_full.data(), n, k, m);
+      std::vector<float> c_sub(static_cast<size_t>(rows * m), 0.0f);
+      backend->GemmNN(a_sub.data(), b.data(), c_sub.data(), rows, k, m);
+      EXPECT_TRUE(BitEqual(gathered(c_full, m), c_sub))
+          << "GemmNN " << backend->name() << " @" << threads;
+
+      std::vector<float> y_full(static_cast<size_t>(n * m));
+      backend->Spmm(row_ptr.data(), col_idx.data(), vals.data(), n, x.data(),
+                    m, y_full.data());
+      std::vector<float> y_sub(static_cast<size_t>(rows * m));
+      backend->Spmm(sub_ptr.data(), sub_idx.data(), sub_vals.data(), rows,
+                    x.data(), m, y_sub.data());
+      EXPECT_TRUE(BitEqual(gathered(y_full, m), y_sub))
+          << "Spmm " << backend->name() << " @" << threads;
+    }
+  }
 }
 
 // --- Dispatch --------------------------------------------------------------

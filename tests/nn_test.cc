@@ -25,15 +25,6 @@ TEST(InitTest, GlorotUniformBounds) {
   }
 }
 
-TEST(InitTest, HeNormalStddev) {
-  common::Rng rng(2);
-  tensor::Tensor w = HeNormal(200, 100, &rng);
-  double var = 0.0;
-  for (float v : w.data()) var += static_cast<double>(v) * v;
-  var /= w.numel();
-  EXPECT_NEAR(std::sqrt(var), std::sqrt(2.0 / 200.0), 0.01);
-}
-
 TEST(LinearTest, ShapesAndParameterCount) {
   common::Rng rng(3);
   Linear layer(5, 3, &rng);

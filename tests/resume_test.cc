@@ -237,18 +237,14 @@ TEST(TrainStateTest, FlippedByteIsIoError) {
 }
 
 TEST(TrainStateTest, ModuleCheckpointIsWrongVersion) {
-  // A v2 module checkpoint must not parse as a v3 TrainState.
+  // A well-formed FWCP file of another version (here the v4 model
+  // artifact's) must not parse as a v3 TrainState.
   const std::string dir = TempDir("fw_trainstate_wrongver");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/state.fwck";
-  common::Rng rng(1);
-  graph::Graph g(2);
-  g.AddEdge(0, 1);
-  nn::GnnConfig config;
-  config.in_features = 2;
-  config.hidden = 3;
-  nn::GnnClassifier model(config, g, &rng);
-  ASSERT_TRUE(nn::SaveCheckpoint(path, model).ok());
+  ASSERT_TRUE(nn::WriteCheckpointEnvelope(path, nn::kModelArtifactVersion,
+                                          std::string(64, '\x01'))
+                  .ok());
   nn::TrainState loaded;
   EXPECT_EQ(nn::LoadTrainState(path, &loaded).code(),
             common::StatusCode::kInvalidArgument);

@@ -258,18 +258,12 @@ void ApplyThreadsFlag(const common::CliFlags& flags) {
 }
 
 /// Selects the compute backend from --simd (scalar|avx2|auto; default keeps
-/// the FAIRWOS_SIMD / CPUID choice) and toggles reassociating kernels from
-/// --fast-math (see docs/kernels.md for the accuracy contract).
+/// the FAIRWOS_SIMD / CPUID choice).
 common::Status ApplySimdFlags(const common::CliFlags& flags) {
-  if (flags.Has("simd")) {
-    FW_ASSIGN_OR_RETURN(tensor::SimdMode mode,
-                        tensor::ParseSimdMode(flags.GetString("simd", "auto")));
-    FW_RETURN_IF_ERROR(tensor::SelectBackend(mode));
-  }
-  if (flags.Has("fast-math")) {
-    tensor::SetFastMath(flags.GetBool("fast-math", false));
-  }
-  return common::Status::OK();
+  if (!flags.Has("simd")) return common::Status::OK();
+  FW_ASSIGN_OR_RETURN(tensor::SimdMode mode,
+                      tensor::ParseSimdMode(flags.GetString("simd", "auto")));
+  return tensor::SelectBackend(mode);
 }
 
 void PrintFailureReasons(const eval::AggregateMetrics& agg) {
@@ -337,12 +331,17 @@ int Generate(const common::CliFlags& flags) {
 }
 
 /// --checkpoint-dir / --checkpoint-every / --keep-checkpoints / --resume.
-nn::CheckpointOptions ResolveCheckpointOptions(const common::CliFlags& flags) {
+common::Result<nn::CheckpointOptions> ResolveCheckpointOptions(
+    const common::CliFlags& flags) {
   nn::CheckpointOptions ckpt;
   ckpt.dir = flags.GetString("checkpoint-dir", "");
   ckpt.every = flags.GetInt("checkpoint-every", 10);
   ckpt.keep = flags.GetInt("keep-checkpoints", 3);
   ckpt.resume = flags.GetBool("resume", false);
+  if (ckpt.keep < 1) {
+    return common::Status::InvalidArgument(
+        "--keep-checkpoints must be >= 1, got " + std::to_string(ckpt.keep));
+  }
   return ckpt;
 }
 
@@ -371,7 +370,7 @@ struct RunOptions {
     FW_RETURN_IF_ERROR(ApplySimdFlags(flags));
     RunOptions run;
     FW_ASSIGN_OR_RETURN(run.obs, ObsSession::FromFlags(flags));
-    run.checkpoint = ResolveCheckpointOptions(flags);
+    FW_ASSIGN_OR_RETURN(run.checkpoint, ResolveCheckpointOptions(flags));
     run.deadline = ResolveDeadline(flags);
     return run;
   }
@@ -1863,8 +1862,8 @@ int OpsReport(const common::CliFlags& flags) {
 }
 
 /// `kernel-info`: which compute backend dispatch selected and why — CPU
-/// features, requested mode and fast-math state. With --json the same facts
-/// print as a single machine-readable object.
+/// features and requested mode. With --json the same facts print as a
+/// single machine-readable object.
 int KernelInfo(const common::CliFlags& flags) {
   if (common::Status status = ApplySimdFlags(flags); !status.ok()) {
     return Fail(status);
@@ -1873,17 +1872,15 @@ int KernelInfo(const common::CliFlags& flags) {
   if (flags.GetBool("json", false)) {
     std::printf(
         "{\"backend\":\"%s\",\"requested\":\"%s\",\"cpu_features\":\"%s\","
-        "\"avx2_supported\":%s,\"fast_math\":%s}\n",
+        "\"avx2_supported\":%s}\n",
         info.active.c_str(), info.requested_mode.c_str(),
-        info.cpu_features.c_str(), info.avx2_supported ? "true" : "false",
-        info.fast_math ? "true" : "false");
+        info.cpu_features.c_str(), info.avx2_supported ? "true" : "false");
     return 0;
   }
   std::printf("backend:           %s\n", info.active.c_str());
   std::printf("requested mode:    %s\n", info.requested_mode.c_str());
   std::printf("cpu features:      %s\n", info.cpu_features.c_str());
   std::printf("avx2+fma capable:  %s\n", info.avx2_supported ? "yes" : "no");
-  std::printf("fast-math:         %s\n", info.fast_math ? "on" : "off");
   return 0;
 }
 
