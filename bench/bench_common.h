@@ -12,7 +12,6 @@
 #include "baselines/registry.h"
 #include "common/cli.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/telemetry.h"
@@ -21,6 +20,7 @@
 #include "data/synthetic.h"
 #include "eval/harness.h"
 #include "eval/table.h"
+#include "obs/prometheus.h"
 
 namespace fairwos::bench {
 
@@ -123,12 +123,7 @@ class ObsSession {
       ReportStatus(recorder.WriteTextProfile(profile_out_), profile_out_);
     }
     if (!metrics_out_.empty()) {
-      const auto& registry = obs::MetricsRegistry::Global();
-      ReportStatus(metrics_out_.size() > 4 &&
-                           metrics_out_.rfind(".csv") == metrics_out_.size() - 4
-                       ? registry.WriteCsv(metrics_out_)
-                       : registry.WriteJson(metrics_out_),
-                   metrics_out_);
+      ReportStatus(obs::WriteMetricsFile(metrics_out_), metrics_out_);
     }
     std::printf("[bench] total wall time %.1f ms\n", watch_.Millis());
   }

@@ -28,10 +28,13 @@ enum class FaultSite : int {
   kLossValue = 0,       // tensor::SoftmaxCrossEntropy output scalar
   kGradient,            // parameter gradients at the top of Optimizer::Step
   kParameter,           // parameter values after an optimizer update
-  kCheckpointFlip,      // one payload bit in WriteCheckpointEnvelope
+  kCheckpointFlip,      // one payload bit in common::WriteCheckpointEnvelope
+                        // (TrainState checkpoints, .fwmodel artifacts and
+                        // the graph base a logged Compact() writes)
   kCheckpointTruncate,  // drop the tail of the payload in
-                        // WriteCheckpointEnvelope
-  kCheckpointRead,      // one payload bit in the buffer read back at load
+                        // common::WriteCheckpointEnvelope (same files)
+  kCheckpointRead,      // one payload bit in the buffer
+                        // common::ReadCheckpointEnvelope read back
   kServeBatchForward,   // a serving micro-batch forward pass (engine retries,
                         // then degrades to the last-known-good prediction)
   kServeArtifactMmap,   // mapping a .fwmodel artifact into memory at

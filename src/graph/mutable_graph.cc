@@ -790,7 +790,7 @@ common::Status MutableGraph::Compact() {
   // published: write the merged base as a graph-base checkpoint whose seq
   // supersedes the current log generation. A crash after this write but
   // before the log Reset below recovers via the checkpoint's `folded`
-  // offset (mutation_log.h documents the case analysis). On write failure
+  // offset (Recover documents the case analysis). On write failure
   // nothing has been swapped — the previous base, overlay, and log keep
   // serving and a later Compact() retries.
   if (log_attached) {

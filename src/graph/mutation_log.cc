@@ -1,91 +1,68 @@
 #include "graph/mutation_log.h"
 
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <utility>
-
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
+
+#include <filesystem>
+#include <string_view>
+#include <utility>
 
 #include "common/check.h"
 #include "common/crc32.h"
+#include "common/durable_file.h"
 #include "common/fault.h"
 
 namespace fairwos::graph {
 namespace {
 
-constexpr uint64_t kLogMagic = 0x46574D4Cull;   // "FWML"
-constexpr uint64_t kBaseMagic = 0x46574742ull;  // "FWGB"
-constexpr uint64_t kVersion = 1;
+using common::AppendFloats;
+using common::AppendU32;
+using common::AppendU64;
+using common::PayloadReader;
+
+constexpr uint64_t kLogMagic = 0x46574D4Cull;  // "FWML"
+constexpr uint64_t kLogVersion = 1;
 constexpr size_t kHeaderBytes = 5 * sizeof(uint64_t) + sizeof(uint32_t);
 // A record is one mutation; anything claiming more than this is a
 // malformed length, not a real payload.
 constexpr uint32_t kMaxRecordBytes = 1u << 24;
 
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool GetU32(const std::string& in, size_t* off, uint32_t* v) {
-  if (*off + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *off, sizeof(*v));
-  *off += sizeof(*v);
-  return true;
-}
-bool GetU64(const std::string& in, size_t* off, uint64_t* v) {
-  if (*off + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *off, sizeof(*v));
-  *off += sizeof(*v);
-  return true;
-}
-
 std::string SerializeHeader(const MutationLog::Header& h) {
   std::string out;
   out.reserve(kHeaderBytes);
-  PutU64(&out, (kLogMagic << 32) | kVersion);
-  PutU64(&out, h.base_seq);
-  PutU64(&out, static_cast<uint64_t>(h.base_nodes));
-  PutU64(&out, static_cast<uint64_t>(h.base_edges));
-  PutU64(&out, static_cast<uint64_t>(h.feature_dim));
-  PutU32(&out, common::Crc32(out.data(), out.size()));
+  AppendU64(&out, (kLogMagic << 32) | kLogVersion);
+  AppendU64(&out, h.base_seq);
+  AppendU64(&out, static_cast<uint64_t>(h.base_nodes));
+  AppendU64(&out, static_cast<uint64_t>(h.base_edges));
+  AppendU64(&out, static_cast<uint64_t>(h.feature_dim));
+  AppendU32(&out, common::Crc32(out.data(), out.size()));
   return out;
 }
 
 std::string SerializeRecord(const GraphMutation& m) {
   std::string payload;
   payload.reserve(20 + m.features.size() * sizeof(float));
-  PutU32(&payload, static_cast<uint32_t>(m.kind));
-  PutU64(&payload, static_cast<uint64_t>(m.u));
-  PutU64(&payload, static_cast<uint64_t>(m.v));
-  PutU32(&payload, static_cast<uint32_t>(m.features.size()));
-  if (!m.features.empty()) {
-    payload.append(reinterpret_cast<const char*>(m.features.data()),
-                   m.features.size() * sizeof(float));
-  }
+  AppendU32(&payload, static_cast<uint32_t>(m.kind));
+  AppendU64(&payload, static_cast<uint64_t>(m.u));
+  AppendU64(&payload, static_cast<uint64_t>(m.v));
+  AppendU32(&payload, static_cast<uint32_t>(m.features.size()));
+  AppendFloats(&payload, m.features);
   std::string out;
   out.reserve(payload.size() + 2 * sizeof(uint32_t));
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
+  AppendU32(&out, static_cast<uint32_t>(payload.size()));
   out += payload;
-  PutU32(&out, common::Crc32(payload.data(), payload.size()));
+  AppendU32(&out, common::Crc32(payload.data(), payload.size()));
   return out;
 }
 
-common::Result<GraphMutation> ParseRecordPayload(const std::string& payload,
+common::Result<GraphMutation> ParseRecordPayload(std::string_view payload,
                                                  int64_t index) {
-  size_t off = 0;
+  PayloadReader in(payload);
   uint32_t kind = 0, nfeat = 0;
   uint64_t u = 0, v = 0;
-  GraphMutation m;
-  if (!GetU32(payload, &off, &kind) || !GetU64(payload, &off, &u) ||
-      !GetU64(payload, &off, &v) || !GetU32(payload, &off, &nfeat) ||
-      off + static_cast<size_t>(nfeat) * sizeof(float) != payload.size()) {
+  if (!in.ReadU32(&kind) || !in.ReadU64(&u) || !in.ReadU64(&v) ||
+      !in.ReadU32(&nfeat) ||
+      in.remaining() != static_cast<size_t>(nfeat) * sizeof(float)) {
     return common::Status::IoError("mutation log record " +
                                    std::to_string(index) +
                                    " has a malformed payload");
@@ -95,100 +72,13 @@ common::Result<GraphMutation> ParseRecordPayload(const std::string& payload,
         "mutation log record " + std::to_string(index) +
         " names unknown mutation kind " + std::to_string(kind));
   }
+  GraphMutation m;
   m.kind = static_cast<MutationKind>(kind);
   m.u = static_cast<int64_t>(u);
   m.v = static_cast<int64_t>(v);
   m.features.resize(nfeat);
-  if (nfeat > 0) {
-    std::memcpy(m.features.data(), payload.data() + off,
-                static_cast<size_t>(nfeat) * sizeof(float));
-  }
+  in.ReadFloats(&m.features);
   return m;
-}
-
-#if !defined(_WIN32)
-bool WriteAll(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
-common::Status FsyncDir(const std::string& file_path) {
-  const std::string dir =
-      std::filesystem::path(file_path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    const bool synced = ::fsync(dfd) == 0;
-    ::close(dfd);
-    if (!synced) {
-      return common::Status::IoError("directory fsync failed for: " +
-                                     file_path);
-    }
-  }
-  return common::Status::OK();
-}
-#endif
-
-/// Same atomic + durable discipline as the checkpoint envelope writer:
-/// tmp file, fsync, rename, directory fsync.
-common::Status WriteFileDurably(const std::string& path,
-                                const std::string& bytes) {
-  const std::string tmp_path = path + ".tmp";
-#if defined(_WIN32)
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return common::Status::IoError("cannot open for write: " + tmp_path);
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      out.close();
-      std::remove(tmp_path.c_str());
-      return common::Status::IoError("write failed: " + tmp_path);
-    }
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return common::Status::IoError("cannot rename " + tmp_path + " to " + path);
-  }
-  return common::Status::OK();
-#else
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return common::Status::IoError("cannot open for write: " + tmp_path);
-  }
-  if (!WriteAll(fd, bytes.data(), bytes.size()) || ::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    return common::Status::IoError("write failed: " + tmp_path);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp_path.c_str());
-    return common::Status::IoError("close failed: " + tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return common::Status::IoError("cannot rename " + tmp_path + " to " + path);
-  }
-  return FsyncDir(path);
-#endif
-}
-
-common::Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return common::Status::IoError("cannot open for read: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return common::Status::IoError("read failed: " + path);
-  return bytes;
 }
 
 }  // namespace
@@ -197,44 +87,40 @@ MutationLog::MutationLog(std::string path, Header header)
     : path_(std::move(path)), header_(header) {}
 
 MutationLog::~MutationLog() {
-#if !defined(_WIN32)
   if (fd_ >= 0) ::close(fd_);
-#endif
 }
 
 common::Result<std::unique_ptr<MutationLog>> MutationLog::Create(
     const std::string& path, const Header& header) {
   const std::string bytes = SerializeHeader(header);
-  FW_RETURN_IF_ERROR(WriteFileDurably(path, bytes));
+  FW_RETURN_IF_ERROR(common::WriteFileDurably(path, bytes));
   auto log = std::unique_ptr<MutationLog>(new MutationLog(path, header));
   log->bytes_ = static_cast<int64_t>(bytes.size());
-#if !defined(_WIN32)
   log->fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (log->fd_ < 0) {
     return common::Status::IoError("cannot open for append: " + path);
   }
-#endif
   return log;
 }
 
 common::Result<MutationLog::ReplayResult> MutationLog::Replay(
     const std::string& path) {
-  FW_ASSIGN_OR_RETURN(const std::string bytes, ReadWholeFile(path));
+  std::string bytes;
+  FW_RETURN_IF_ERROR(common::ReadFile(path, &bytes));
   if (bytes.size() < kHeaderBytes) {
     return common::Status::IoError("mutation log header truncated: " + path);
   }
-  size_t off = 0;
+  PayloadReader in(bytes);
   uint64_t magic_version = 0, base_seq = 0, nodes = 0, edges = 0, fdim = 0;
   uint32_t header_crc = 0;
-  GetU64(bytes, &off, &magic_version);
-  GetU64(bytes, &off, &base_seq);
-  GetU64(bytes, &off, &nodes);
-  GetU64(bytes, &off, &edges);
-  GetU64(bytes, &off, &fdim);
-  const uint32_t crc_expected =
-      common::Crc32(bytes.data(), 5 * sizeof(uint64_t));
-  GetU32(bytes, &off, &header_crc);
-  if (magic_version != ((kLogMagic << 32) | kVersion)) {
+  in.ReadU64(&magic_version);
+  in.ReadU64(&base_seq);
+  in.ReadU64(&nodes);
+  in.ReadU64(&edges);
+  in.ReadU64(&fdim);
+  const uint32_t crc_expected = common::Crc32(bytes.data(), in.position());
+  in.ReadU32(&header_crc);
+  if (magic_version != ((kLogMagic << 32) | kLogVersion)) {
     return common::Status::IoError("not a mutation log (bad magic): " + path);
   }
   if (header_crc != crc_expected) {
@@ -243,11 +129,11 @@ common::Result<MutationLog::ReplayResult> MutationLog::Replay(
   ReplayResult result;
   result.header = {base_seq, static_cast<int64_t>(nodes),
                    static_cast<int64_t>(edges), static_cast<int64_t>(fdim)};
-  result.valid_bytes = static_cast<int64_t>(off);
-  while (off < bytes.size()) {
-    const size_t record_start = off;
-    uint32_t len = 0;
-    if (!GetU32(bytes, &off, &len)) {
+  result.valid_bytes = static_cast<int64_t>(in.position());
+  while (!in.exhausted()) {
+    uint32_t len = 0, crc = 0;
+    std::string_view payload;
+    if (!in.ReadU32(&len)) {
       result.torn_tail = true;  // partial length prefix at EOF
       break;
     }
@@ -256,15 +142,10 @@ common::Result<MutationLog::ReplayResult> MutationLog::Replay(
           "mutation log record " + std::to_string(result.records.size()) +
           " claims " + std::to_string(len) + " bytes (malformed length)");
     }
-    if (off + len + sizeof(uint32_t) > bytes.size()) {
+    if (!in.ReadBytes(len, &payload) || !in.ReadU32(&crc)) {
       result.torn_tail = true;  // record cut off mid-write by a crash
-      off = record_start;
       break;
     }
-    const std::string payload = bytes.substr(off, len);
-    off += len;
-    uint32_t crc = 0;
-    GetU32(bytes, &off, &crc);
     if (crc != common::Crc32(payload.data(), payload.size())) {
       return common::Status::IoError(
           "mutation log record " + std::to_string(result.records.size()) +
@@ -275,7 +156,7 @@ common::Result<MutationLog::ReplayResult> MutationLog::Replay(
         ParseRecordPayload(payload,
                            static_cast<int64_t>(result.records.size())));
     result.records.push_back(std::move(m));
-    result.valid_bytes = static_cast<int64_t>(off);
+    result.valid_bytes = static_cast<int64_t>(in.position());
   }
   return result;
 }
@@ -296,12 +177,10 @@ common::Result<std::unique_ptr<MutationLog>> MutationLog::Open(
       std::unique_ptr<MutationLog>(new MutationLog(path, replay.header));
   log->records_ = static_cast<int64_t>(replay.records.size());
   log->bytes_ = replay.valid_bytes;
-#if !defined(_WIN32)
   log->fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (log->fd_ < 0) {
     return common::Status::IoError("cannot open for append: " + path);
   }
-#endif
   return log;
 }
 
@@ -315,15 +194,8 @@ common::Status MutationLog::AppendSerialized(const std::string& bytes,
         "overlay untouched");
   }
   const int64_t before = bytes_;
-#if defined(_WIN32)
-  std::ofstream out(path_, std::ios::binary | std::ios::app);
-  if (!out) return common::Status::IoError("cannot append to: " + path_);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) return common::Status::IoError("append failed: " + path_);
-#else
   FW_CHECK_GE(fd_, 0);
-  if (!WriteAll(fd_, bytes.data(), bytes.size())) {
+  if (!common::WriteAll(fd_, bytes.data(), bytes.size())) {
     // A short write leaves a torn tail; roll it back so the file stays on
     // a record boundary (Replay would tolerate it either way).
     std::error_code ec;
@@ -333,7 +205,6 @@ common::Status MutationLog::AppendSerialized(const std::string& bytes,
   if (::fsync(fd_) != 0) {
     return common::Status::IoError("append fsync failed: " + path_);
   }
-#endif
   last_append_bytes_ = before;
   bytes_ += static_cast<int64_t>(bytes.size());
   records_ += count;
@@ -361,10 +232,8 @@ common::Status MutationLog::RollbackLastAppend() {
   if (ec) {
     return common::Status::IoError("mutation log rollback failed: " + path_);
   }
-#if !defined(_WIN32)
   // The append fd's offset is implicit (O_APPEND); nothing to seek.
   if (fd_ >= 0) ::fsync(fd_);
-#endif
   bytes_ = last_append_bytes_;
   records_ -= 1;  // single-record rollback (batch commits cannot fail)
   last_append_bytes_ = -1;
@@ -375,14 +244,12 @@ common::Status MutationLog::Reset(const Header& header,
                                   const std::vector<GraphMutation>& carried) {
   std::string bytes = SerializeHeader(header);
   for (const GraphMutation& m : carried) bytes += SerializeRecord(m);
-  FW_RETURN_IF_ERROR(WriteFileDurably(path_, bytes));
-#if !defined(_WIN32)
+  FW_RETURN_IF_ERROR(common::WriteFileDurably(path_, bytes));
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
   if (fd_ < 0) {
     return common::Status::IoError("cannot reopen for append: " + path_);
   }
-#endif
   header_ = header;
   records_ = static_cast<int64_t>(carried.size());
   bytes_ = static_cast<int64_t>(bytes.size());
@@ -398,71 +265,46 @@ common::Status WriteGraphBase(const std::string& path,
   payload.reserve(5 * sizeof(uint64_t) +
                   static_cast<size_t>(g.num_edges()) * 2 * sizeof(uint64_t) +
                   base.features.data().size() * sizeof(float));
-  PutU64(&payload, base.seq);
-  PutU64(&payload, static_cast<uint64_t>(base.folded));
-  PutU64(&payload, static_cast<uint64_t>(g.num_nodes()));
-  PutU64(&payload, static_cast<uint64_t>(g.num_edges()));
-  PutU64(&payload, static_cast<uint64_t>(
-                       base.features.rank() == 2 ? base.features.dim(1) : 0));
+  AppendU64(&payload, base.seq);
+  AppendU64(&payload, static_cast<uint64_t>(base.folded));
+  AppendU64(&payload, static_cast<uint64_t>(g.num_nodes()));
+  AppendU64(&payload, static_cast<uint64_t>(g.num_edges()));
+  AppendU64(&payload, static_cast<uint64_t>(
+                          base.features.rank() == 2 ? base.features.dim(1) : 0));
   for (int64_t u = 0; u < g.num_nodes(); ++u) {
     for (int64_t v : g.Neighbors(u)) {
       if (v > u) {
-        PutU64(&payload, static_cast<uint64_t>(u));
-        PutU64(&payload, static_cast<uint64_t>(v));
+        AppendU64(&payload, static_cast<uint64_t>(u));
+        AppendU64(&payload, static_cast<uint64_t>(v));
       }
     }
   }
-  const auto& feat = base.features.data();
-  if (!feat.empty()) {
-    payload.append(reinterpret_cast<const char*>(feat.data()),
-                   feat.size() * sizeof(float));
-  }
-  std::string bytes;
-  bytes.reserve(3 * sizeof(uint64_t) + payload.size());
-  PutU64(&bytes, (kBaseMagic << 32) | kVersion);
-  PutU64(&bytes, static_cast<uint64_t>(payload.size()));
-  PutU64(&bytes, common::Crc32(payload.data(), payload.size()));
-  bytes += payload;
-  return WriteFileDurably(path, bytes);
+  AppendFloats(&payload, base.features.data());
+  return common::WriteCheckpointEnvelope(path, common::kGraphBaseVersion,
+                                         std::move(payload));
 }
 
 common::Result<GraphBaseCheckpoint> ReadGraphBase(const std::string& path) {
-  FW_ASSIGN_OR_RETURN(const std::string bytes, ReadWholeFile(path));
-  size_t off = 0;
-  uint64_t magic_version = 0, payload_size = 0, crc = 0;
-  if (!GetU64(bytes, &off, &magic_version) ||
-      !GetU64(bytes, &off, &payload_size) || !GetU64(bytes, &off, &crc)) {
-    return common::Status::IoError("graph-base header truncated: " + path);
-  }
-  if (magic_version != ((kBaseMagic << 32) | kVersion)) {
-    return common::Status::IoError("not a graph-base checkpoint (bad magic): " +
-                                   path);
-  }
-  if (off + payload_size != bytes.size()) {
-    return common::Status::IoError(
-        "graph-base payload size mismatch (expected " +
-        std::to_string(payload_size) + " bytes, file carries " +
-        std::to_string(bytes.size() - off) + "): " + path);
-  }
-  if (crc != common::Crc32(bytes.data() + off, payload_size)) {
-    return common::Status::IoError("graph-base payload failed CRC: " + path);
-  }
+  std::string payload;
+  FW_RETURN_IF_ERROR(common::ReadCheckpointEnvelope(
+      path, common::kGraphBaseVersion, &payload));
+  PayloadReader in(payload);
   uint64_t seq = 0, folded = 0, nodes = 0, edges = 0, fdim = 0;
-  GetU64(bytes, &off, &seq);
-  GetU64(bytes, &off, &folded);
-  GetU64(bytes, &off, &nodes);
-  GetU64(bytes, &off, &edges);
-  GetU64(bytes, &off, &fdim);
-  const size_t expect = off + edges * 2 * sizeof(uint64_t) +
-                        nodes * fdim * sizeof(float);
-  if (expect != bytes.size()) {
+  const bool header_ok = in.ReadU64(&seq) && in.ReadU64(&folded) &&
+                         in.ReadU64(&nodes) && in.ReadU64(&edges) &&
+                         in.ReadU64(&fdim);
+  // Division-based so that no corrupt count can overflow the size check.
+  const size_t edge_bytes = 2 * sizeof(uint64_t);
+  if (!header_ok || edges > in.remaining() / edge_bytes ||
+      (fdim != 0 && nodes > in.remaining() / sizeof(float) / fdim) ||
+      edges * edge_bytes + nodes * fdim * sizeof(float) != in.remaining()) {
     return common::Status::IoError("graph-base payload malformed: " + path);
   }
   Graph g(static_cast<int64_t>(nodes));
   for (uint64_t i = 0; i < edges; ++i) {
     uint64_t u = 0, v = 0;
-    GetU64(bytes, &off, &u);
-    GetU64(bytes, &off, &v);
+    in.ReadU64(&u);
+    in.ReadU64(&v);
     // Range-check before AddEdge: a corrupt id must reject with a Status,
     // not trip AddEdge's FW_CHECKs.
     if (u >= nodes || v >= nodes ||
@@ -471,9 +313,7 @@ common::Result<GraphBaseCheckpoint> ReadGraphBase(const std::string& path) {
     }
   }
   std::vector<float> feat(nodes * fdim);
-  if (!feat.empty()) {
-    std::memcpy(feat.data(), bytes.data() + off, feat.size() * sizeof(float));
-  }
+  in.ReadFloats(&feat);
   GraphBaseCheckpoint out;
   out.seq = seq;
   out.folded = static_cast<int64_t>(folded);

@@ -1,8 +1,8 @@
 // Durable append-only mutation log for graph::MutableGraph
 // (docs/serving.md "Dynamic graphs"): the write-ahead record of every
-// accepted overlay mutation, using the fsync'd-envelope discipline of the
-// v3 checkpoints (nn/checkpoint.h) so a crashed server can replay the
-// overlay it had not yet compacted.
+// accepted overlay mutation, so a crashed server can replay the overlay it
+// had not yet compacted. Whole-file writes, the append loop and the byte
+// codec come from the shared durable-file layer (common/durable_file.h).
 //
 // On-disk layout (little-endian, packed):
 //   header   u64 magic|version ("FWML" << 32 | 1), u64 base_seq,
@@ -22,17 +22,17 @@
 //     malformed complete record is rejected with a precise IoError: a
 //     corrupt log must never replay garbage into a serving graph.
 //   * Reset() atomically replaces the log with a new generation header plus
-//     the mutations a compaction carried over (tmp + fsync + rename + dir
-//     fsync) — the log-truncation half of the compact lifecycle.
+//     the mutations a compaction carried over (common::WriteFileDurably) —
+//     the log-truncation half of the compact lifecycle.
 //
 // The `base_seq` generation counter ties the log to the graph base it
 // replays against. Generation 0 is the construction-time base; every
-// successful MutableGraph::Compact() writes the merged base as a durable
-// graph-base checkpoint (WriteGraphBase, seq = generation + 1, `folded` =
+// successful MutableGraph::Compact() writes the merged base to `<log>.base`
+// as an FWCP v5 envelope (WriteGraphBase, seq = generation + 1, `folded` =
 // the count of this generation's records it absorbed) and then Resets the
 // log to the next generation. MutableGraph::Recover() stitches the two
-// files back together across every crash window (mutation_log.cc documents
-// the case analysis).
+// files back together across every crash window (mutable_graph.cc
+// documents the case analysis).
 #ifndef FAIRWOS_GRAPH_MUTATION_LOG_H_
 #define FAIRWOS_GRAPH_MUTATION_LOG_H_
 
@@ -124,7 +124,7 @@ class MutationLog {
 
   std::string path_;
   Header header_;
-  int fd_ = -1;  // POSIX append fd; -1 on Windows (fstream fallback)
+  int fd_ = -1;  // O_APPEND fd
   int64_t records_ = 0;
   int64_t bytes_ = 0;
   int64_t last_append_bytes_ = -1;  // file size before the last append
@@ -132,8 +132,14 @@ class MutationLog {
 
 /// A durable checkpoint of a compacted merged base: the graph, its feature
 /// matrix, the log generation it supersedes (`seq` = generation + 1), and
-/// `folded` — how many records of that generation it absorbed. Written with
-/// the same atomic tmp + fsync + rename discipline as the v3 checkpoints.
+/// `folded` — how many records of that generation it absorbed.
+///
+/// On disk it is an FWCP envelope of version 5 (common::kGraphBaseVersion)
+/// whose payload is u64 seq, u64 folded, u64 nodes, u64 edges,
+/// u64 feature_dim, then u64 (u, v) per undirected edge with u < v, then
+/// nodes x feature_dim f32 features. ReadGraphBase reports the envelope's
+/// Status codes (InvalidArgument for a wrong magic or version, IoError for
+/// damage) and IoError for a payload that does not describe a valid graph.
 struct GraphBaseCheckpoint {
   uint64_t seq = 0;
   int64_t folded = 0;

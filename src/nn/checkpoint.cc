@@ -1,240 +1,29 @@
 #include "nn/checkpoint.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 #include <vector>
 
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
-#include "common/crc32.h"
-#include "common/fault.h"
+#include "common/durable_file.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "nn/payload.h"
 
 namespace fairwos::nn {
 namespace {
 
-constexpr uint32_t kMagic = 0x46574350;  // "FWCP"
-constexpr uint32_t kTrainStateVersion = kTrainStateCheckpointVersion;
-constexpr size_t kHeaderBytes = 3 * sizeof(uint64_t);
+using common::AppendF32;
+using common::AppendF64;
+using common::AppendFloats;
+using common::AppendU64;
+using common::kTrainStateCheckpointVersion;
 
 constexpr char kRotationPrefix[] = "state-";
 constexpr char kRotationSuffix[] = ".fwck";
-
-/// Fault-injection sites modelling a failing disk on the write path: the
-/// checksum is computed from the intended bytes *before* these run, so
-/// either corruption is caught at load time.
-void MaybeCorruptForSave(std::string* payload) {
-  auto* fi = testing::ActiveFaultInjector();
-  if (fi == nullptr) return;
-  if (!payload->empty() &&
-      fi->ShouldFire(testing::FaultSite::kCheckpointFlip)) {
-    const auto offset = static_cast<size_t>(
-        fi->rng()->UniformInt(static_cast<int64_t>(payload->size())));
-    (*payload)[offset] = static_cast<char>((*payload)[offset] ^
-                                           (1 << fi->rng()->UniformInt(8)));
-  }
-  if (fi->ShouldFire(testing::FaultSite::kCheckpointTruncate)) {
-    payload->resize(payload->size() / 2);
-  }
-}
-
-/// Fault-injection site modelling a corrupt read (bus error, bitrot that
-/// beat the write-side checks): flips one bit in the buffer read back from
-/// disk, before the CRC verification that must then reject it.
-void MaybeCorruptAfterRead(std::string* payload) {
-  auto* fi = testing::ActiveFaultInjector();
-  if (fi == nullptr || payload->empty()) return;
-  if (fi->ShouldFire(testing::FaultSite::kCheckpointRead)) {
-    const auto offset = static_cast<size_t>(
-        fi->rng()->UniformInt(static_cast<int64_t>(payload->size())));
-    (*payload)[offset] = static_cast<char>((*payload)[offset] ^
-                                           (1 << fi->rng()->UniformInt(8)));
-  }
-}
-
-#if !defined(_WIN32)
-bool WriteAll(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
-}
-#endif
-
-/// Writes header+payload to `path` atomically and durably: the bytes are
-/// flushed to stable storage (fsync) *before* the rename, and the directory
-/// entry is flushed after it — a crash at any instant leaves either the old
-/// file or the complete new one, never a truncated rename target.
-common::Status WriteFileDurably(const std::string& path,
-                                const std::string& header,
-                                const std::string& payload) {
-  const std::string tmp_path = path + ".tmp";
-#if defined(_WIN32)
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return common::Status::IoError("cannot open for write: " + tmp_path);
-    }
-    out.write(header.data(), static_cast<std::streamsize>(header.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) {
-      out.close();
-      std::remove(tmp_path.c_str());
-      return common::Status::IoError("write failed: " + tmp_path);
-    }
-  }
-#else
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return common::Status::IoError("cannot open for write: " + tmp_path);
-  }
-  if (!WriteAll(fd, header.data(), header.size()) ||
-      !WriteAll(fd, payload.data(), payload.size()) || ::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    return common::Status::IoError("write failed: " + tmp_path);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp_path.c_str());
-    return common::Status::IoError("close failed: " + tmp_path);
-  }
-#endif
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return common::Status::IoError("cannot rename " + tmp_path + " to " + path);
-  }
-#if !defined(_WIN32)
-  // Flush the rename itself: without a directory fsync the new entry can
-  // still be lost to a power cut. Opening a directory read-only can fail on
-  // exotic filesystems — skip silently then; an fsync error on an open
-  // directory fd is a real durability failure and is reported.
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    const bool synced = ::fsync(dfd) == 0;
-    ::close(dfd);
-    if (!synced) {
-      return common::Status::IoError("directory fsync failed for: " + path);
-    }
-  }
-#endif
-  return common::Status::OK();
-}
-
-}  // namespace
-
-common::Status ReadCheckpointEnvelope(const std::string& path,
-                                      uint32_t expected_version,
-                                      std::string* payload) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return common::Status::IoError("cannot open for read: " + path);
-
-  char header[kHeaderBytes];
-  in.read(header, static_cast<std::streamsize>(kHeaderBytes));
-  if (!in) {
-    return common::Status::IoError("truncated checkpoint header: " + path);
-  }
-  uint64_t magic_version = 0, payload_size = 0, crc_expected = 0;
-  std::memcpy(&magic_version, header, sizeof(uint64_t));
-  std::memcpy(&payload_size, header + sizeof(uint64_t), sizeof(uint64_t));
-  std::memcpy(&crc_expected, header + 2 * sizeof(uint64_t), sizeof(uint64_t));
-  if ((magic_version >> 32) != kMagic) {
-    return common::Status::InvalidArgument("not a Fairwos checkpoint: " + path);
-  }
-  if ((magic_version & 0xFFFFFFFFu) != expected_version) {
-    return common::Status::InvalidArgument(
-        "unsupported checkpoint version " +
-        std::to_string(magic_version & 0xFFFFFFFFu) + " (expected " +
-        std::to_string(expected_version) + "): " + path);
-  }
-
-  // Validate the (untrusted) size field against the real file size before
-  // allocating anything — a flipped bit in it must not become a huge alloc.
-  in.seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  if (payload_size != file_size - kHeaderBytes) {
-    return common::Status::IoError(
-        "checkpoint size mismatch: header promises " +
-        std::to_string(payload_size) + " payload bytes, file has " +
-        std::to_string(file_size - kHeaderBytes) + ": " + path);
-  }
-  in.seekg(static_cast<std::streamoff>(kHeaderBytes));
-  payload->assign(payload_size, '\0');
-  in.read(payload->data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<uint64_t>(in.gcount()) != payload_size) {
-    return common::Status::IoError("truncated checkpoint: " + path);
-  }
-  MaybeCorruptAfterRead(payload);
-  const uint32_t crc_actual = common::Crc32(payload->data(), payload->size());
-  if (crc_actual != static_cast<uint32_t>(crc_expected)) {
-    return common::Status::IoError("checkpoint CRC mismatch (corrupt file): " +
-                                   path);
-  }
-  return common::Status::OK();
-}
-
-common::Status WriteCheckpointEnvelope(const std::string& path,
-                                       uint32_t version, std::string payload) {
-  const uint64_t payload_size = payload.size();
-  const uint32_t crc = common::Crc32(payload.data(), payload.size());
-  MaybeCorruptForSave(&payload);
-  std::string header;
-  AppendU64(&header, (static_cast<uint64_t>(kMagic) << 32) | version);
-  AppendU64(&header, payload_size);
-  AppendU64(&header, crc);
-  FW_RETURN_IF_ERROR(WriteFileDurably(path, header, payload));
-  obs::MetricsRegistry::Global().GetCounter("checkpoint.saves")->Increment();
-  obs::EmitEvent(
-      obs::Event("checkpoint_save")
-          .Set("path", path)
-          .Set("version", static_cast<int64_t>(version))
-          .Set("bytes", static_cast<int64_t>(kHeaderBytes + payload.size())));
-  return common::Status::OK();
-}
-
-common::Status CheckParamsCompatible(
-    const std::vector<tensor::Tensor>& params,
-    const std::vector<std::vector<float>>& saved, const char* what) {
-  if (saved.size() != params.size()) {
-    return common::Status::FailedPrecondition(
-        std::string("checkpoint ") + what + " holds " +
-        std::to_string(saved.size()) + " tensors, model has " +
-        std::to_string(params.size()));
-  }
-  for (size_t i = 0; i < saved.size(); ++i) {
-    if (saved[i].size() != params[i].data().size()) {
-      return common::Status::FailedPrecondition(
-          std::string("checkpoint ") + what + " tensor " + std::to_string(i) +
-          " has " + std::to_string(saved[i].size()) + " values, model wants " +
-          std::to_string(params[i].data().size()));
-    }
-  }
-  return common::Status::OK();
-}
-
-namespace {
 
 /// Parses the rotation sequence number out of a `state-<seq>.fwck`
 /// filename; returns -1 for anything else.
@@ -256,6 +45,26 @@ int64_t ParseRotationSeq(const std::string& filename) {
 }
 
 }  // namespace
+
+common::Status CheckParamsCompatible(
+    const std::vector<tensor::Tensor>& params,
+    const std::vector<std::vector<float>>& saved, const char* what) {
+  if (saved.size() != params.size()) {
+    return common::Status::FailedPrecondition(
+        std::string("checkpoint ") + what + " holds " +
+        std::to_string(saved.size()) + " tensors, model has " +
+        std::to_string(params.size()));
+  }
+  for (size_t i = 0; i < saved.size(); ++i) {
+    if (saved[i].size() != params[i].data().size()) {
+      return common::Status::FailedPrecondition(
+          std::string("checkpoint ") + what + " tensor " + std::to_string(i) +
+          " has " + std::to_string(saved[i].size()) + " values, model wants " +
+          std::to_string(params[i].data().size()));
+    }
+  }
+  return common::Status::OK();
+}
 
 common::Status SaveTrainState(const std::string& path,
                               const TrainState& state) {
@@ -291,18 +100,20 @@ common::Status SaveTrainState(const std::string& path,
   for (int64_t c : state.counters) {
     AppendU64(&payload, static_cast<uint64_t>(c));
   }
-  return WriteCheckpointEnvelope(path, kTrainStateVersion, std::move(payload));
+  return common::WriteCheckpointEnvelope(path, kTrainStateCheckpointVersion,
+                                         std::move(payload));
 }
 
 common::Status LoadTrainState(const std::string& path, TrainState* state) {
   FW_CHECK(state != nullptr);
   std::string payload;
-  FW_RETURN_IF_ERROR(ReadCheckpointEnvelope(path, kTrainStateVersion, &payload));
+  FW_RETURN_IF_ERROR(common::ReadCheckpointEnvelope(
+      path, kTrainStateCheckpointVersion, &payload));
 
   const auto malformed = [&path](const std::string& what) {
     return common::Status::IoError("payload ends inside " + what + ": " + path);
   };
-  PayloadReader reader(payload);
+  common::PayloadReader reader(payload);
   TrainState staged;
   uint64_t u = 0;
   if (!reader.ReadU64(&u)) return malformed("phase");

@@ -1,33 +1,16 @@
-// The FWCP checkpoint envelope and the durable crash-resume layer
-// (docs/resume.md): full-training-state v3 checkpoints, rotating keep-N
-// retention, and latest-valid selection.
+// The durable crash-resume layer (docs/resume.md): full-training-state v3
+// checkpoints, rotating keep-N retention, and latest-valid selection.
 //
-// Envelope (little-endian, see docs/robustness.md):
-//   u64  (magic "FWCP" << 32) | version
-//   u64  payload byte size
-//   u64  CRC-32 of the payload (zero-extended)
-//   payload
-//
-// The v3 payload serializes a complete TrainState (see SaveTrainState for
-// the field order); v4 is the frozen model artifact (serve/artifact.h).
-//
-// Robustness guarantees:
-//   * Saves are atomic AND durable: the file is written to `<path>.tmp`,
-//     flushed to stable storage (fsync of the file and its directory), and
-//     renamed into place — a crash at any instant leaves either the old
-//     checkpoint or the complete new one, never a torn file.
-//   * Loads verify the header and the payload CRC before touching any
-//     caller state; a truncated or bit-flipped file is rejected with a
-//     precise Status. Load never FW_CHECK-aborts on malformed input.
-//   * Both the save path and the read path carry fairwos::testing fault-
-//     injection hooks (kCheckpointFlip / kCheckpointTruncate /
-//     kCheckpointRead) so tests can prove the CRC catches disk and bus
-//     corruption in either direction.
+// A v3 checkpoint is a TrainState (see SaveTrainState for the field order)
+// inside an FWCP envelope (common/durable_file.h), so saves are atomic and
+// durable, loads verify the header and the payload CRC before touching any
+// caller state, and both directions carry the envelope's fault hooks.
 //
 // Status codes returned by the load functions:
 //   InvalidArgument     wrong magic or unsupported version
 //   IoError             unreadable, truncated, size-mismatched, or
-//                       CRC-mismatched (corrupt) file
+//                       CRC-mismatched (corrupt) file, or a payload that
+//                       ends early or has trailing bytes
 //   FailedPrecondition  well-formed checkpoint whose parameter count or
 //                       sizes do not match the model (CheckParamsCompatible)
 #ifndef FAIRWOS_NN_CHECKPOINT_H_
@@ -44,29 +27,6 @@
 
 namespace fairwos::nn {
 
-// --------------------------------------------------------------------------
-// FWCP envelope — shared by all checkpoint-family codecs
-// --------------------------------------------------------------------------
-
-/// Envelope versions in use. v3 is implemented here; v4 is the frozen model
-/// artifact (serve/artifact.h), which reuses the same envelope.
-inline constexpr uint32_t kTrainStateCheckpointVersion = 3;
-inline constexpr uint32_t kModelArtifactVersion = 4;
-
-/// Writes `payload` to `path` inside the FWCP magic/size/CRC header,
-/// atomically and durably (tmp file + fsync + rename + directory fsync).
-/// Carries the kCheckpointFlip/kCheckpointTruncate write-path fault hooks.
-common::Status WriteCheckpointEnvelope(const std::string& path,
-                                       uint32_t version, std::string payload);
-
-/// Reads and authenticates an FWCP file: validates the magic, the exact
-/// `expected_version`, the size field, and the payload CRC before any byte
-/// reaches the caller. Carries the kCheckpointRead read-path fault hook.
-/// Errors follow the Status contract in the header comment above.
-common::Status ReadCheckpointEnvelope(const std::string& path,
-                                      uint32_t expected_version,
-                                      std::string* payload);
-
 /// Validates a snapshot (or any per-parameter float blob list) against a
 /// module's parameters — count and per-tensor element count — so that
 /// RestoreParameters (which FW_CHECK-aborts on mismatch) only ever sees
@@ -74,10 +34,6 @@ common::Status ReadCheckpointEnvelope(const std::string& path,
 common::Status CheckParamsCompatible(
     const std::vector<tensor::Tensor>& params,
     const std::vector<std::vector<float>>& saved, const char* what);
-
-// --------------------------------------------------------------------------
-// Durable crash-resume (docs/resume.md)
-// --------------------------------------------------------------------------
 
 /// The complete state of an interrupted training loop, serialized as a v3
 /// checkpoint. Restoring every field at an epoch boundary makes the resumed
@@ -105,7 +61,7 @@ struct TrainState {
 };
 
 /// Writes `state` to `path` as a v3 checkpoint (atomic + durable, through
-/// WriteCheckpointEnvelope).
+/// common::WriteCheckpointEnvelope).
 common::Status SaveTrainState(const std::string& path,
                               const TrainState& state);
 

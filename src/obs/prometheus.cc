@@ -82,4 +82,16 @@ common::Status WritePrometheusText(const std::string& path,
   return common::Status::OK();
 }
 
+common::Status WriteMetricsFile(const std::string& path,
+                                const MetricsRegistry& registry) {
+  const auto has_suffix = [&path](const std::string& suffix) {
+    return path.size() > suffix.size() &&
+           path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
+               0;
+  };
+  if (has_suffix(".prom")) return WritePrometheusText(path, registry);
+  if (has_suffix(".csv")) return registry.WriteCsv(path);
+  return registry.WriteJson(path);
+}
+
 }  // namespace fairwos::obs

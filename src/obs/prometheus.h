@@ -28,6 +28,13 @@ common::Status WritePrometheusText(
     const std::string& path,
     const MetricsRegistry& registry = MetricsRegistry::Global());
 
+/// The one `--metrics-out` export every front end shares: the file
+/// extension chooses the format — `.prom` Prometheus text, `.csv` CSV,
+/// anything else JSON.
+common::Status WriteMetricsFile(
+    const std::string& path,
+    const MetricsRegistry& registry = MetricsRegistry::Global());
+
 }  // namespace fairwos::obs
 
 #endif  // FAIRWOS_OBS_PROMETHEUS_H_

@@ -4,9 +4,9 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/durable_file.h"
 #include "common/fault.h"
 #include "nn/checkpoint.h"
-#include "nn/payload.h"
 
 namespace fairwos::serve {
 namespace {
@@ -68,47 +68,49 @@ ModelArtifact MakeArtifact(const core::FittedGnnModel& model,
 common::Status SaveModelArtifact(const std::string& path,
                                  const ModelArtifact& artifact) {
   std::string payload;
-  nn::AppendString(&payload, artifact.model_id);
-  nn::AppendString(&payload, artifact.provenance.method);
-  nn::AppendString(&payload, artifact.provenance.dataset);
-  nn::AppendU64(&payload, artifact.provenance.seed);
+  common::AppendString(&payload, artifact.model_id);
+  common::AppendString(&payload, artifact.provenance.method);
+  common::AppendString(&payload, artifact.provenance.dataset);
+  common::AppendU64(&payload, artifact.provenance.seed);
 
   const nn::GnnConfig& gnn = artifact.gnn;
-  nn::AppendU64(&payload, static_cast<uint64_t>(gnn.backbone));
-  nn::AppendU64(&payload, static_cast<uint64_t>(gnn.in_features));
-  nn::AppendU64(&payload, static_cast<uint64_t>(gnn.hidden));
-  nn::AppendU64(&payload, static_cast<uint64_t>(gnn.num_layers));
-  nn::AppendU64(&payload, static_cast<uint64_t>(gnn.num_classes));
-  nn::AppendF32(&payload, gnn.dropout);
-  nn::AppendF32(&payload, gnn.gin_eps);
-  nn::AppendU64(&payload, gnn.sage_normalize ? 1 : 0);
-  nn::AppendU64(&payload, static_cast<uint64_t>(gnn.gat_heads));
-  nn::AppendF32(&payload, gnn.gat_negative_slope);
+  common::AppendU64(&payload, static_cast<uint64_t>(gnn.backbone));
+  common::AppendU64(&payload, static_cast<uint64_t>(gnn.in_features));
+  common::AppendU64(&payload, static_cast<uint64_t>(gnn.hidden));
+  common::AppendU64(&payload, static_cast<uint64_t>(gnn.num_layers));
+  common::AppendU64(&payload, static_cast<uint64_t>(gnn.num_classes));
+  common::AppendF32(&payload, gnn.dropout);
+  common::AppendF32(&payload, gnn.gin_eps);
+  common::AppendU64(&payload, gnn.sage_normalize ? 1 : 0);
+  common::AppendU64(&payload, static_cast<uint64_t>(gnn.gat_heads));
+  common::AppendF32(&payload, gnn.gat_negative_slope);
 
-  nn::AppendU64(&payload, artifact.params.size());
+  common::AppendU64(&payload, artifact.params.size());
   for (const auto& p : artifact.params) {
-    nn::AppendU64(&payload, p.size());
-    nn::AppendFloats(&payload, p);
+    common::AppendU64(&payload, p.size());
+    common::AppendFloats(&payload, p);
   }
-  nn::AppendU64(&payload, artifact.input_mean.size());
-  nn::AppendFloats(&payload, artifact.input_mean);
-  nn::AppendU64(&payload, artifact.input_std.size());
-  nn::AppendFloats(&payload, artifact.input_std);
+  common::AppendU64(&payload, artifact.input_mean.size());
+  common::AppendFloats(&payload, artifact.input_mean);
+  common::AppendU64(&payload, artifact.input_std.size());
+  common::AppendFloats(&payload, artifact.input_std);
 
   const bool frozen =
       artifact.input_kind == core::FittedGnnModel::InputKind::kFrozen;
-  nn::AppendU64(&payload, frozen ? 1 : 0);
+  common::AppendU64(&payload, frozen ? 1 : 0);
   if (frozen) {
     FW_CHECK(artifact.frozen_input.defined());
     FW_CHECK_EQ(artifact.frozen_input.rank(), 2);
-    nn::AppendU64(&payload, static_cast<uint64_t>(artifact.frozen_input.dim(0)));
-    nn::AppendU64(&payload, static_cast<uint64_t>(artifact.frozen_input.dim(1)));
-    nn::AppendFloats(&payload, artifact.frozen_input.data());
+    common::AppendU64(&payload,
+                      static_cast<uint64_t>(artifact.frozen_input.dim(0)));
+    common::AppendU64(&payload,
+                      static_cast<uint64_t>(artifact.frozen_input.dim(1)));
+    common::AppendFloats(&payload, artifact.frozen_input.data());
   }
-  nn::AppendU64(&payload, artifact.input_is_pseudo_sens ? 1 : 0);
+  common::AppendU64(&payload, artifact.input_is_pseudo_sens ? 1 : 0);
 
-  return nn::WriteCheckpointEnvelope(path, nn::kModelArtifactVersion,
-                                     std::move(payload));
+  return common::WriteCheckpointEnvelope(path, common::kModelArtifactVersion,
+                                         std::move(payload));
 }
 
 common::Result<ModelArtifact> LoadModelArtifact(const std::string& path) {
@@ -121,9 +123,9 @@ common::Result<ModelArtifact> LoadModelArtifact(const std::string& path) {
                                    ": injected mmap fault");
   }
   std::string payload;
-  FW_RETURN_IF_ERROR(nn::ReadCheckpointEnvelope(
-      path, nn::kModelArtifactVersion, &payload));
-  nn::PayloadReader reader(payload);
+  FW_RETURN_IF_ERROR(common::ReadCheckpointEnvelope(
+      path, common::kModelArtifactVersion, &payload));
+  common::PayloadReader reader(payload);
 
   ModelArtifact artifact;
   if (!reader.ReadString(&artifact.model_id) ||

@@ -1,8 +1,8 @@
 // The frozen-model artifact (`.fwmodel`): everything needed to reconstruct
 // a FittedGnnModel for serving, serialized as a v4 FWCP envelope — the same
-// magic/CRC/atomic-rename codec as the v2/v3 training checkpoints
-// (nn/checkpoint.h), so corruption detection and the fault-injection hooks
-// come for free. See docs/serving.md.
+// magic/CRC/atomic-rename layer as the v3 training checkpoints
+// (common/durable_file.h), so corruption detection and the fault-injection
+// hooks come for free. See docs/serving.md.
 //
 // Format v4 payload (little-endian, after the FWCP header):
 //   string  model id

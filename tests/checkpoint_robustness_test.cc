@@ -228,28 +228,59 @@ TEST_F(CheckpointRobustnessTest, FaultInjectedTruncationDuringSaveIsCaught) {
 }
 
 TEST_F(CheckpointRobustnessTest, EveryByteFlipIsRejectedOrRoundTrips) {
-  // Exhaustive single-bit-flip sweep over a small checkpoint: no flip may
-  // crash the loader or silently load a wrong state. A flip is either
-  // rejected, or (in the unused high half of the zero-extended CRC field)
-  // harmless, and then the state must round-trip exactly.
-  const TrainState reference = MakeState(1);
-  ASSERT_TRUE(SaveTrainState(path_, reference).ok());
+  // Exhaustive single-bit-flip sweep over a small checkpoint: every byte of
+  // the file is authenticated — the header fields, all 64 bits of the CRC
+  // field, and the payload — so every flip must be rejected, without
+  // crashing the loader and without touching the caller's state.
+  ASSERT_TRUE(SaveTrainState(path_, MakeState(1)).ok());
   const int64_t size = FileSize(path_);
   const TrainState before = MakeState(9);
   for (int64_t offset = 0; offset < size; ++offset) {
     ASSERT_TRUE(testing::FaultInjector::FlipByte(path_, offset, 0x04).ok());
     TrainState victim = before;
     const common::Status status = LoadTrainState(path_, &victim);
-    if (status.ok()) {
-      EXPECT_TRUE(StatesEqual(victim, reference))
-          << "flip at " << offset << " loaded a silently-corrupt state";
-    } else {
-      EXPECT_TRUE(StatesEqual(victim, before))
-          << "flip at " << offset << " wrote to the state on error";
-    }
+    EXPECT_FALSE(status.ok()) << "flip at " << offset << " was accepted";
+    EXPECT_TRUE(StatesEqual(victim, before))
+        << "flip at " << offset << " wrote to the state on error";
     // Restore the original byte for the next iteration.
     ASSERT_TRUE(testing::FaultInjector::FlipByte(path_, offset, 0x04).ok());
   }
+}
+
+TEST_F(CheckpointRobustnessTest, CrcHighWordFlipIsIoError) {
+  // Bytes 20-23 are the high word of the zero-extended u64 CRC field; the
+  // writer always leaves it zero, so any other value is corruption.
+  ASSERT_TRUE(SaveTrainState(path_, MakeState(1)).ok());
+  for (int64_t offset = 20; offset < 24; ++offset) {
+    ASSERT_TRUE(testing::FaultInjector::FlipByte(path_, offset, 0x10).ok());
+    TrainState victim;
+    const common::Status status = LoadTrainState(path_, &victim);
+    EXPECT_EQ(status.code(), common::StatusCode::kIoError)
+        << "flip at " << offset << ": " << status.ToString();
+    ASSERT_TRUE(testing::FaultInjector::FlipByte(path_, offset, 0x10).ok());
+  }
+}
+
+TEST_F(CheckpointRobustnessTest, DirectoryIsIoErrorWithoutAbort) {
+  // A directory is refused before a buffer is sized from it (lseek to the
+  // end of a directory can report ~2^63 bytes on some filesystems).
+  const std::string dir = path_ + ".dir";
+  std::filesystem::create_directory(dir);
+  TrainState victim = MakeState(9);
+  const common::Status status = LoadTrainState(dir, &victim);
+  EXPECT_EQ(status.code(), common::StatusCode::kIoError) << status.ToString();
+  EXPECT_TRUE(StatesEqual(victim, MakeState(9)));
+  std::filesystem::remove(dir);
+}
+
+TEST_F(CheckpointRobustnessTest, ForeignFileIsRefusedByItsHeader) {
+  // A large file that is not FWCP (a wrong --resume path, say) is refused
+  // by its magic, like the short garbage file above.
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << std::string(1 << 20, 'x');
+  }
+  ExpectLoadRejected(common::StatusCode::kInvalidArgument);
 }
 
 TEST_F(CheckpointRobustnessTest, UnwritableDirectoryIsIoError) {

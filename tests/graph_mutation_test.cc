@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/vanilla.h"
+#include "common/durable_file.h"
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -1347,6 +1349,183 @@ TEST(MutationDurabilityTest, TornTailFromCrashMidAppendIsDropped) {
   ASSERT_TRUE(replay_or.ok());
   EXPECT_FALSE(replay_or.value().torn_tail);
   EXPECT_EQ(replay_or.value().records.size(), 2u);
+}
+
+// --- The graph-base checkpoint (`<log>.base`, FWCP v5) --------------------
+
+std::string FileBytes(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(common::ReadFile(path, &bytes).ok()) << path;
+  return bytes;
+}
+
+/// A log that has been through one Compact(): `<path>.base` holds the merged
+/// base (generation 1) and the log holds one post-compaction record.
+std::string CompactedLog(const std::string& name) {
+  const std::string path = FreshLogPath(name);
+  auto g_or = MutableGraph::Recover(PathGraph(8), PathFeatures(8), path);
+  EXPECT_TRUE(g_or.ok()) << g_or.status().ToString();
+  MutableGraph& g = *g_or.value();
+  EXPECT_TRUE(g.AddEdge(0, 4).ok());
+  EXPECT_TRUE(g.AddEdge(1, 5).ok());
+  EXPECT_TRUE(g.Compact().ok());
+  EXPECT_TRUE(g.AddEdge(2, 6).ok());
+  return path;
+}
+
+/// Recover must refuse with `code` and a message naming `what`, and leave
+/// both files byte-identical.
+void ExpectRecoverRefuses(const std::string& path, StatusCode code,
+                          const std::string& what) {
+  const std::string log_before = FileBytes(path);
+  const std::string base_before = FileBytes(path + ".base");
+  auto r_or = MutableGraph::Recover(PathGraph(8), PathFeatures(8), path);
+  ASSERT_FALSE(r_or.ok());
+  EXPECT_EQ(r_or.status().code(), code) << r_or.status().ToString();
+  EXPECT_NE(r_or.status().ToString().find(what), std::string::npos)
+      << r_or.status().ToString();
+  EXPECT_EQ(FileBytes(path), log_before);
+  EXPECT_EQ(FileBytes(path + ".base"), base_before);
+}
+
+TEST(MutationGraphBaseTest, CompactWritesAnFwcpV5Envelope) {
+  const std::string path = CompactedLog("graph_base_v5.fwlog");
+  const std::string base = FileBytes(path + ".base");
+  ASSERT_GE(base.size(), 24u);
+  uint64_t magic_version = 0;
+  std::memcpy(&magic_version, base.data(), sizeof(magic_version));
+  EXPECT_EQ(magic_version >> 32, 0x46574350u);  // "FWCP"
+  EXPECT_EQ(magic_version & 0xFFFFFFFFu, 5u);
+  auto ckpt_or = ReadGraphBase(path + ".base");
+  ASSERT_TRUE(ckpt_or.ok()) << ckpt_or.status().ToString();
+  EXPECT_EQ(ckpt_or.value().seq, 1u);
+  EXPECT_EQ(ckpt_or.value().folded, 2);
+  EXPECT_TRUE(ckpt_or.value().graph->HasEdge(0, 4));
+  EXPECT_TRUE(ckpt_or.value().graph->HasEdge(1, 5));
+}
+
+TEST(MutationGraphBaseTest, FlippedPayloadByteIsRejected) {
+  const std::string path = CompactedLog("graph_base_flip.fwlog");
+  ASSERT_TRUE(FaultInjector::FlipByte(path + ".base", 24 + 10).ok());
+  ExpectRecoverRefuses(path, StatusCode::kIoError, "CRC");
+}
+
+TEST(MutationGraphBaseTest, TruncatedBaseIsRejected) {
+  const std::string path = CompactedLog("graph_base_truncated.fwlog");
+  const auto size =
+      static_cast<int64_t>(std::filesystem::file_size(path + ".base"));
+  ASSERT_TRUE(FaultInjector::Truncate(path + ".base", size - 5).ok());
+  ExpectRecoverRefuses(path, StatusCode::kIoError, "size mismatch");
+  ASSERT_TRUE(FaultInjector::Truncate(path + ".base", 10).ok());
+  ExpectRecoverRefuses(path, StatusCode::kIoError, "truncated");
+}
+
+TEST(MutationGraphBaseTest, WrongVersionIsRejected) {
+  const std::string path = CompactedLog("graph_base_version.fwlog");
+  // Byte 0 is the low byte of the version: 5 ^ 1 = 4, the model artifact's.
+  ASSERT_TRUE(FaultInjector::FlipByte(path + ".base", 0, 0x01).ok());
+  ExpectRecoverRefuses(path, StatusCode::kInvalidArgument, "version 4");
+}
+
+TEST(MutationGraphBaseTest, OldFwgbMagicIsRefused) {
+  // The retired graph-base format had the same header layout under its own
+  // magic ("FWGB", version 1). It is refused, not read.
+  const std::string path = CompactedLog("graph_base_fwgb.fwlog");
+  std::string base = FileBytes(path + ".base");
+  const uint64_t fwgb = (uint64_t{0x46574742} << 32) | 1;
+  std::memcpy(base.data(), &fwgb, sizeof(fwgb));
+  {
+    std::ofstream out(path + ".base", std::ios::binary | std::ios::trunc);
+    out.write(base.data(), static_cast<std::streamsize>(base.size()));
+  }
+  ExpectRecoverRefuses(path, StatusCode::kInvalidArgument,
+                       "not a Fairwos checkpoint");
+}
+
+TEST(MutationGraphBaseTest, CrcHighWordFlipIsIoError) {
+  const std::string path = CompactedLog("graph_base_crc_high.fwlog");
+  for (int64_t offset = 20; offset < 24; ++offset) {
+    ASSERT_TRUE(FaultInjector::FlipByte(path + ".base", offset).ok());
+    ExpectRecoverRefuses(path, StatusCode::kIoError, "CRC");
+    ASSERT_TRUE(FaultInjector::FlipByte(path + ".base", offset).ok());
+  }
+  EXPECT_TRUE(
+      MutableGraph::Recover(PathGraph(8), PathFeatures(8), path).ok());
+}
+
+TEST(MutationGraphBaseTest, CheckpointFlipDuringCompactIsCaughtAtRecover) {
+  // kCheckpointFlip models a disk that corrupts the base on its way out:
+  // Compact() cannot see it, the next Recover must.
+  const std::string path = FreshLogPath("graph_base_write_flip.fwlog");
+  FaultInjector injector(11);
+  injector.Arm(FaultSite::kCheckpointFlip, /*at_visit=*/0);
+  {
+    auto g_or = MutableGraph::Recover(PathGraph(8), PathFeatures(8), path);
+    ASSERT_TRUE(g_or.ok()) << g_or.status().ToString();
+    ASSERT_TRUE(g_or.value()->AddEdge(0, 4).ok());
+    ScopedFaultInjector scoped(&injector);
+    ASSERT_TRUE(g_or.value()->Compact().ok());
+  }
+  EXPECT_EQ(injector.fires(FaultSite::kCheckpointFlip), 1);
+  ExpectRecoverRefuses(path, StatusCode::kIoError, "CRC");
+}
+
+TEST(MutationGraphBaseTest, EveryByteFlipIsRejected) {
+  // Exhaustive sweep, like the TrainState one: every byte of the base file
+  // is authenticated, so every flip must make Recover refuse.
+  const std::string path = CompactedLog("graph_base_sweep.fwlog");
+  const std::string base_path = path + ".base";
+  const std::string log_before = FileBytes(path);
+  const auto size = static_cast<int64_t>(std::filesystem::file_size(base_path));
+  for (int64_t offset = 0; offset < size; ++offset) {
+    ASSERT_TRUE(FaultInjector::FlipByte(base_path, offset, 0x04).ok());
+    EXPECT_FALSE(
+        MutableGraph::Recover(PathGraph(8), PathFeatures(8), path).ok())
+        << "flip at " << offset << " was accepted";
+    ASSERT_TRUE(FaultInjector::FlipByte(base_path, offset, 0x04).ok());
+  }
+  EXPECT_EQ(FileBytes(path), log_before);
+}
+
+TEST(MutationGraphBaseTest, DirectoryOrForeignFileIsRefused) {
+  // Wrong paths must fail cleanly: a directory where the log or its base
+  // should be is IoError, and a foreign file is refused by its header.
+  const std::string dir_log = FreshLogPath("graph_base_dir_log.fwlog");
+  std::filesystem::create_directory(dir_log);
+  auto r_or = MutableGraph::Recover(PathGraph(8), PathFeatures(8), dir_log);
+  ASSERT_FALSE(r_or.ok());
+  EXPECT_EQ(r_or.status().code(), StatusCode::kIoError)
+      << r_or.status().ToString();
+  std::filesystem::remove(dir_log);
+
+  const std::string path = CompactedLog("graph_base_dir_base.fwlog");
+  const std::string log_before = FileBytes(path);
+  std::filesystem::remove(path + ".base");
+  std::filesystem::create_directory(path + ".base");
+  r_or = MutableGraph::Recover(PathGraph(8), PathFeatures(8), path);
+  ASSERT_FALSE(r_or.ok());
+  EXPECT_EQ(r_or.status().code(), StatusCode::kIoError)
+      << r_or.status().ToString();
+  EXPECT_EQ(FileBytes(path), log_before);
+  std::filesystem::remove(path + ".base");
+
+  {
+    std::ofstream out(path + ".base", std::ios::binary);
+    out << std::string(1 << 20, 'x');
+  }
+  ExpectRecoverRefuses(path, StatusCode::kInvalidArgument,
+                       "not a Fairwos checkpoint");
+  std::filesystem::remove(path + ".base");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << std::string(1 << 20, 'x');
+  }
+  const std::string foreign = FileBytes(path);
+  r_or = MutableGraph::Recover(PathGraph(8), PathFeatures(8), path);
+  ASSERT_FALSE(r_or.ok());
+  EXPECT_NE(r_or.status().ToString().find("bad magic"), std::string::npos)
+      << r_or.status().ToString();
+  EXPECT_EQ(FileBytes(path), foreign);
 }
 
 TEST(MutationDurabilityTest, KillAndReplayUnderTemporalScriptIsBitIdentical) {

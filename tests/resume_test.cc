@@ -13,6 +13,7 @@
 
 #include "baselines/train_util.h"
 #include "common/deadline.h"
+#include "common/durable_file.h"
 #include "common/fault.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
@@ -242,8 +243,8 @@ TEST(TrainStateTest, ModuleCheckpointIsWrongVersion) {
   const std::string dir = TempDir("fw_trainstate_wrongver");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/state.fwck";
-  ASSERT_TRUE(nn::WriteCheckpointEnvelope(path, nn::kModelArtifactVersion,
-                                          std::string(64, '\x01'))
+  ASSERT_TRUE(common::WriteCheckpointEnvelope(
+                  path, common::kModelArtifactVersion, std::string(64, '\x01'))
                   .ok());
   nn::TrainState loaded;
   EXPECT_EQ(nn::LoadTrainState(path, &loaded).code(),
@@ -343,6 +344,40 @@ TEST(CheckpointRotationTest, CorruptNewestFallsBackWithTelemetry) {
       ++fallback_events;
       EXPECT_EQ(event.GetString("path"), files.back());
       EXPECT_FALSE(event.GetString("reason").empty());
+    }
+  }
+  EXPECT_EQ(fallback_events, 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointRotationTest, CrcHighWordFlipInNewestFallsBack) {
+  // Byte 21 lies in the high word of the u64 CRC field: the payload is
+  // intact, but the file is damaged and must not be resumed from.
+  const std::string dir = TempDir("fw_rotation_crc_high");
+  nn::CheckpointRotation rotation(dir, 3);
+  nn::TrainState st = SampleState();
+  st.epoch = 10;
+  ASSERT_TRUE(rotation.Save(st).ok());
+  st.epoch = 20;
+  ASSERT_TRUE(rotation.Save(st).ok());
+  const auto files = nn::CheckpointRotation::ListCheckpoints(dir);
+  ASSERT_EQ(files.size(), 2u);
+  ASSERT_TRUE(testing::FaultInjector::FlipByte(files.back(), 21).ok());
+
+  obs::CollectingSink sink;
+  obs::SetEventSink(&sink);
+  auto latest = rotation.LoadLatestValid();
+  obs::SetEventSink(nullptr);
+
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ(latest.value().epoch, 10);
+  EXPECT_EQ(rotation.last_loaded_path(), files.front());
+  int fallback_events = 0;
+  for (const auto& event : sink.events()) {
+    if (event.name() == "resume_fallback") {
+      ++fallback_events;
+      EXPECT_EQ(event.GetString("path"), files.back());
+      EXPECT_NE(event.GetString("reason").find("CRC"), std::string::npos);
     }
   }
   EXPECT_EQ(fallback_events, 1);

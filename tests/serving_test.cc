@@ -12,10 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "baselines/vanilla.h"
+#include "common/durable_file.h"
 #include "common/fault.h"
 #include "common/threadpool.h"
 #include "data/synthetic.h"
-#include "nn/checkpoint.h"
 #include "serve/artifact.h"
 #include "serve/engine.h"
 #include "serve/lru_cache.h"
@@ -193,6 +193,42 @@ TEST(ArtifactTest, CorruptFileIsRejected) {
   std::filesystem::remove(path);
 }
 
+TEST(ArtifactTest, CrcHighWordFlipIsIoError) {
+  // Bytes 20-23 are the high word of the envelope's zero-extended CRC
+  // field: a flip there damages no payload byte but must still reject.
+  auto ds = ToyDataset();
+  auto fitted = FitVanilla(ds, /*seed=*/5, /*epochs=*/5);
+  const std::string path = TempPath("fw_serving_crc_high.fwmodel");
+  ASSERT_TRUE(SaveModelArtifact(path, MakeArtifact(*fitted->AsGnn(), ds)).ok());
+  for (int64_t offset = 20; offset < 24; ++offset) {
+    ASSERT_TRUE(testing::FaultInjector::FlipByte(path, offset).ok());
+    EXPECT_EQ(LoadModelArtifact(path).status().code(),
+              common::StatusCode::kIoError)
+        << "flip at " << offset;
+    ASSERT_TRUE(testing::FaultInjector::FlipByte(path, offset).ok());  // undo
+  }
+  EXPECT_TRUE(LoadModelArtifact(path).ok());
+  std::filesystem::remove(path);
+}
+
+TEST(ArtifactTest, DirectoryAndForeignFileAreRejected) {
+  // A wrong --model path: a directory is IoError before anything is read,
+  // and a large non-FWCP file is refused by its header.
+  const std::string dir = TempPath("fw_serving_dir.fwmodel");
+  std::filesystem::create_directory(dir);
+  EXPECT_EQ(LoadModelArtifact(dir).status().code(),
+            common::StatusCode::kIoError);
+  std::filesystem::remove(dir);
+  const std::string path = TempPath("fw_serving_foreign.fwmodel");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(1 << 20, 'x');
+  }
+  EXPECT_EQ(LoadModelArtifact(path).status().code(),
+            common::StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
+}
+
 TEST(ArtifactTest, ReadPathFaultInjectionIsCaughtByCrc) {
   // kCheckpointRead flips one bit in the buffer after it is read back —
   // simulating disk/bus rot. The artifact loader shares the envelope codec,
@@ -220,8 +256,8 @@ TEST(ArtifactTest, WrongVersionIsRejected) {
   // A v3 train-state file is a valid FWCP envelope but not a model
   // artifact; the version check must reject it as InvalidArgument.
   const std::string path = TempPath("fw_serving_wrongver.fwck");
-  ASSERT_TRUE(nn::WriteCheckpointEnvelope(
-                  path, nn::kTrainStateCheckpointVersion, "not a model")
+  ASSERT_TRUE(common::WriteCheckpointEnvelope(
+                  path, common::kTrainStateCheckpointVersion, "not a model")
                   .ok());
   EXPECT_EQ(LoadModelArtifact(path).status().code(),
             common::StatusCode::kInvalidArgument);

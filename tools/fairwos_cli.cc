@@ -221,15 +221,7 @@ class ObsSession {
       Report(recorder.WriteTextProfile(profile_out_), profile_out_);
     }
     if (!metrics_out_.empty()) {
-      const auto& registry = obs::MetricsRegistry::Global();
-      const bool csv = metrics_out_.size() > 4 &&
-                       metrics_out_.rfind(".csv") == metrics_out_.size() - 4;
-      const bool prom = metrics_out_.size() > 5 &&
-                        metrics_out_.rfind(".prom") == metrics_out_.size() - 5;
-      Report(prom  ? obs::WritePrometheusText(metrics_out_, registry)
-             : csv ? registry.WriteCsv(metrics_out_)
-                   : registry.WriteJson(metrics_out_),
-             metrics_out_);
+      Report(obs::WriteMetricsFile(metrics_out_), metrics_out_);
     }
   }
 
