@@ -76,7 +76,9 @@ common::Result<tensor::Tensor> TrainStructureTeacher(
   // The student's loop owns the checkpoint directory; the teacher is not
   // checkpointed.
   teacher_train.checkpoint = nn::CheckpointOptions{};
-  FW_RETURN_IF_ERROR(TrainClassifier(teacher_train, ds, input,
+  const core::SplitRows val =
+      core::GatherSplit(teacher, input, ds.labels, ds.split.val);
+  FW_RETURN_IF_ERROR(TrainClassifier(teacher_train, ds, input, val,
                                      /*penalty=*/nullptr, &teacher, rng)
                          .status());
   tensor::NoGradGuard no_grad;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "fairness/metrics.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
 
@@ -57,13 +56,14 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
   // X⁰ is fixed, so its first-layer product is taken once; the flipped
   // copy changes every epoch and is propagated per epoch.
   const nn::PropagatedInput input = PropagateInput(model, x0);
-  FW_RETURN_IF_ERROR(
-      TrainClassifier(train_, ds, input, /*penalty=*/nullptr, &model, &rng)
-          .status());
+  const core::SplitRows val =
+      core::GatherSplit(model, input, ds.labels, ds.split.val);
+  FW_RETURN_IF_ERROR(TrainClassifier(train_, ds, input, val,
+                                     /*penalty=*/nullptr, &model, &rng)
+                         .status());
 
   // Fine-tune with the fabricated counterfactual (the non-realistic kind).
-  const double pretrain_val_acc = fairness::AccuracyPct(
-      EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
+  const double pretrain_val_acc = ValidationAccuracyPct(model, val, &rng);
   const double acceptable = pretrain_val_acc - config_.utility_tolerance_pct;
   nn::Adam opt(model.parameters(), config_.finetune_lr, 0.9f, 0.999f, 1e-8f,
                train_.weight_decay);
@@ -102,8 +102,7 @@ common::Result<std::unique_ptr<core::FittedModel>> PerturbCfMethod::Fit(
     return loss_total;
   };
   loop.after_commit = [&](obs::Event* event) {
-    const double val_acc = fairness::AccuracyPct(
-        EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
+    const double val_acc = ValidationAccuracyPct(model, val, &rng);
     event->Set("val_acc", val_acc);
     if (val_acc >= acceptable) {
       best_snapshot = nn::SnapshotParameters(model);

@@ -21,13 +21,17 @@ common::Result<int64_t> TrainClassifier(const TrainOptions& options,
                                         common::Rng* rng,
                                         TrainDiagnostics* diag) {
   FW_CHECK(model != nullptr);
-  return TrainClassifier(options, ds, PropagateInput(*model, features),
+  const nn::PropagatedInput input = PropagateInput(*model, features);
+  return TrainClassifier(options, ds, input,
+                         core::GatherSplit(*model, input, ds.labels,
+                                           ds.split.val),
                          penalty, model, rng, diag);
 }
 
 common::Result<int64_t> TrainClassifier(const TrainOptions& options,
                                         const data::Dataset& ds,
                                         const nn::PropagatedInput& input,
+                                        const core::SplitRows& val,
                                         const PenaltyFn& penalty,
                                         nn::GnnClassifier* model,
                                         common::Rng* rng,
@@ -44,7 +48,7 @@ common::Result<int64_t> TrainClassifier(const TrainOptions& options,
   int64_t epochs_run = 0;
   TrainDiagnostics local_diag;
   FW_RETURN_IF_ERROR(core::TrainClassifierPhase(
-      &phase, options, options.deadline, session, ds, input, penalty,
+      &phase, options, options.deadline, session, ds, input, val, penalty,
       model, rng, &epochs_run, diag != nullptr ? diag : &local_diag));
   return epochs_run;
 }

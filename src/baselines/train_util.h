@@ -15,7 +15,7 @@
 namespace fairwos::baselines {
 
 using core::EvaluateAll, core::PenaltyFn, core::PropagateInput,
-    core::TrainDiagnostics, core::TrainOptions, core::ValidationLoss;
+    core::TrainDiagnostics, core::TrainOptions, core::ValidationAccuracyPct;
 
 /// Trains `model` on `features`, minimising CE(train) [+ penalty], keeping
 /// the best-validation parameters. Steps are guarded: a NaN/Inf loss,
@@ -38,10 +38,12 @@ common::Result<int64_t> TrainClassifier(const TrainOptions& options,
                                         TrainDiagnostics* diag = nullptr);
 
 /// The same loop from an input the caller has already propagated
-/// (PropagateInput), for callers that reuse it after training.
+/// (PropagateInput) and its validation rows (core::GatherSplit of
+/// ds.split.val), for callers that reuse them after training.
 common::Result<int64_t> TrainClassifier(const TrainOptions& options,
                                         const data::Dataset& ds,
                                         const nn::PropagatedInput& input,
+                                        const core::SplitRows& val,
                                         const PenaltyFn& penalty,
                                         nn::GnnClassifier* model,
                                         common::Rng* rng,

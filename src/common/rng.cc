@@ -15,6 +15,24 @@ uint64_t SplitMix64(uint64_t* x) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// One xoshiro256++ step on `s`.
+inline uint64_t Next(uint64_t* s) {
+  const uint64_t result = Rotl(s[0] + s[3], 23) + s[0];
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
+  return result;
+}
+
+// 53 high bits -> double in [0, 1).
+inline double ToUnit(uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,22 +40,9 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(&s);
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
+uint64_t Rng::NextU64() { return Next(state_); }
 
-double Rng::Uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
+double Rng::Uniform() { return ToUnit(NextU64()); }
 
 double Rng::Uniform(double lo, double hi) {
   FW_CHECK_LE(lo, hi);
@@ -81,6 +86,17 @@ bool Rng::Bernoulli(double p) {
   FW_CHECK_GE(p, 0.0);
   FW_CHECK_LE(p, 1.0);
   return Uniform() < p;
+}
+
+void Rng::FillBernoulli(double p, float hit, float* out, int64_t n) {
+  FW_CHECK_GE(p, 0.0);
+  FW_CHECK_LE(p, 1.0);
+  FW_CHECK_GE(n, 0);
+  // The state lives in locals for the loop, so the draws stay in registers
+  // instead of round-tripping through *this once per element.
+  uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+  for (int64_t i = 0; i < n; ++i) out[i] = ToUnit(Next(s)) < p ? hit : 0.0f;
+  for (int i = 0; i < 4; ++i) state_[i] = s[i];
 }
 
 std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {

@@ -55,6 +55,10 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
+  /// n Bernoulli(p) draws at once: out[i] = Bernoulli(p) ? hit : 0, with
+  /// the same draws and the same final state as that per-element loop.
+  void FillBernoulli(double p, float hit, float* out, int64_t n);
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fairness/metrics.h"
 #include "tensor/ops.h"
 
 namespace fairwos::core {
@@ -38,12 +37,12 @@ common::Result<EncoderOutput> PretrainEncoder(
   int64_t epochs_run = 0;
   TrainDiagnostics diag;
   const nn::PropagatedInput input = PropagateInput(model, ds.features);
-  FW_RETURN_IF_ERROR(TrainClassifierPhase(&phase, options, deadline, session,
-                                          ds, input, /*penalty=*/nullptr,
-                                          &model, &rng, &epochs_run, &diag));
+  const SplitRows val = GatherSplit(model, input, ds.labels, ds.split.val);
+  FW_RETURN_IF_ERROR(TrainClassifierPhase(
+      &phase, options, deadline, session, ds, input, val,
+      /*penalty=*/nullptr, &model, &rng, &epochs_run, &diag));
   EncoderOutput out;
-  out.best_val_acc_pct = fairness::AccuracyPct(
-      EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
+  out.best_val_acc_pct = ValidationAccuracyPct(model, val, &rng);
 
   // Eq. 6: apply the frozen encoder as a feature extractor.
   tensor::NoGradGuard no_grad;

@@ -11,7 +11,6 @@
 #include "common/trace.h"
 #include "core/lambda_solver.h"
 #include "core/train_loop.h"
-#include "fairness/metrics.h"
 #include "nn/optim.h"
 #include "tensor/ops.h"
 
@@ -126,6 +125,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
   // X⁰ is fixed from here on (restored, on a resume), so its first-layer
   // product is taken once for pre-train, pseudo-labels and fine-tune.
   const nn::PropagatedInput input = PropagateInput(model, x0);
+  const SplitRows val = GatherSplit(model, input, ds.labels, ds.split.val);
 
   const bool resume_finetune =
       resume != nullptr && resume->phase == kPhaseFinetune;
@@ -160,8 +160,9 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
     const common::Status status = [&] {
       FW_TRACE_SPAN("fairwos/classifier_pretrain");
       return TrainClassifierPhase(&pretrain, options, config.deadline, session,
-                                  ds, input, /*penalty=*/nullptr, &model, &rng,
-                                  &local_stats.pretrain_epochs_run, &diag);
+                                  ds, input, val, /*penalty=*/nullptr, &model,
+                                  &rng, &local_stats.pretrain_epochs_run,
+                                  &diag);
     }();
     local_stats.encoder_val_acc_pct = pretrain.extra_scalars[0];
     local_stats.pretrain_retries = diag.retries;
@@ -201,8 +202,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
          {&best_snapshot, "best snapshot"},
          {&fallback_snapshot, "fallback snapshot"}};
     if (!resume_finetune) {
-      pretrain_val_acc = fairness::AccuracyPct(
-          EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
+      pretrain_val_acc = ValidationAccuracyPct(model, val, &rng);
     }
 
     EpochLoop loop;
@@ -308,8 +308,7 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       // keep the *latest* epoch whose validation accuracy stays within the
       // utility tolerance of the pre-trained model; the best-validation
       // epoch is the fallback when no epoch qualifies.
-      const double val_acc = fairness::AccuracyPct(
-          EvaluateAll(model, input, &rng).pred, ds.labels, ds.split.val);
+      const double val_acc = ValidationAccuracyPct(model, val, &rng);
       event->Set("val_acc", val_acc);
       if (val_acc >= pretrain_val_acc - config.utility_tolerance_pct) {
         best_snapshot = nn::SnapshotParameters(model);

@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "fairness/metrics.h"
 #include "tensor/ops.h"
 
 namespace fairwos::core {
@@ -152,9 +153,13 @@ common::Status TrainClassifierPhase(
     ClassifierPhase* phase, const TrainOptions& options,
     const common::Deadline& deadline, const CheckpointSession& session,
     const data::Dataset& ds, const nn::PropagatedInput& input,
-    const PenaltyFn& penalty, nn::GnnClassifier* model, common::Rng* rng,
-    int64_t* epochs_run, TrainDiagnostics* diag) {
+    const SplitRows& val, const PenaltyFn& penalty, nn::GnnClassifier* model,
+    common::Rng* rng, int64_t* epochs_run, TrainDiagnostics* diag) {
   FW_CHECK(model != nullptr);
+  FW_CHECK(!input.gathered()) << "TrainClassifierPhase takes a full input";
+  const SplitRows train =
+      penalty ? SplitRows{input, ds.labels, ds.split.train}
+              : GatherSplit(*model, input, ds.labels, ds.split.train);
   nn::Adam opt(model->parameters(), options.lr, 0.9f, 0.999f, 1e-8f,
                options.weight_decay);
   opt.set_max_grad_norm(options.max_grad_norm);
@@ -172,10 +177,10 @@ common::Status TrainClassifierPhase(
   loop.resume = session.resume ? &*session.resume : nullptr;
   loop.epochs_run = epochs_run;
   loop.step = [&](obs::Event* event) {
-    tensor::Tensor h = model->Embed(input, /*training=*/true, rng);
+    tensor::Tensor h = model->Embed(train.input, /*training=*/true, rng);
     tensor::Tensor logits = model->Logits(h);
     tensor::Tensor ce =
-        tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.train);
+        tensor::SoftmaxCrossEntropy(logits, train.labels, train.index);
     tensor::Tensor loss = ce;
     if (penalty) {
       tensor::Tensor extra = penalty(h, logits);
@@ -195,7 +200,7 @@ common::Status TrainClassifierPhase(
   loop.after_commit = [&](obs::Event* event) {
     // Early stopping on validation *loss*: accuracy on small validation
     // splits is too coarsely quantised to be a stopping signal.
-    const double val_loss = ValidationLoss(*model, input, ds, rng);
+    const double val_loss = ValidationLoss(*model, val, rng);
     event->Set("val_loss", val_loss);
     if (val_loss < best_val_loss) {
       best_val_loss = val_loss;
@@ -257,12 +262,38 @@ nn::PredictionResult EvaluateAll(const nn::GnnClassifier& model,
   return nn::PredictFromLogits(model.Forward(input, /*training=*/false, rng));
 }
 
-double ValidationLoss(const nn::GnnClassifier& model,
+SplitRows GatherSplit(const nn::GnnClassifier& model,
                       const nn::PropagatedInput& input,
-                      const data::Dataset& ds, common::Rng* rng) {
+                      const std::vector<int>& labels,
+                      const std::vector<int64_t>& split) {
+  if (!model.encoder().row_local()) return {input, labels, split};
+  SplitRows out;
+  {
+    tensor::NoGradGuard no_grad;
+    out.input = nn::Rows(input, split);
+  }
+  const std::vector<int64_t>& rows = out.input.rows;
+  out.labels.reserve(rows.size());
+  for (int64_t v : rows) out.labels.push_back(labels[static_cast<size_t>(v)]);
+  out.index.reserve(split.size());
+  for (int64_t v : split) {
+    out.index.push_back(std::lower_bound(rows.begin(), rows.end(), v) -
+                        rows.begin());
+  }
+  return out;
+}
+
+double ValidationLoss(const nn::GnnClassifier& model, const SplitRows& val,
+                      common::Rng* rng) {
   tensor::NoGradGuard no_grad;
-  tensor::Tensor logits = model.Forward(input, /*training=*/false, rng);
-  return tensor::SoftmaxCrossEntropy(logits, ds.labels, ds.split.val).item();
+  tensor::Tensor logits = model.Forward(val.input, /*training=*/false, rng);
+  return tensor::SoftmaxCrossEntropy(logits, val.labels, val.index).item();
+}
+
+double ValidationAccuracyPct(const nn::GnnClassifier& model,
+                             const SplitRows& val, common::Rng* rng) {
+  return fairness::AccuracyPct(EvaluateAll(model, val.input, rng).pred,
+                               val.labels, val.index);
 }
 
 }  // namespace fairwos::core

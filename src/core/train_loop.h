@@ -133,18 +133,38 @@ struct ClassifierPhase {
   std::vector<int64_t> extra_counters;
 };
 
+/// The rows of a propagated input that one split reads, gathered once per
+/// fit for a row-local model (nn::GnnEncoder::row_local): `input` holds
+/// them in ascending node order, `labels` their labels in that order, and
+/// `index` each split entry's position among them, so a loss over `index`
+/// sums in the split's own order. For any other model `input` is the full
+/// input, `labels` all labels and `index` the split itself. Either way
+/// SoftmaxCrossEntropy(Forward(input), labels, index) has the same bits.
+struct SplitRows {
+  nn::PropagatedInput input;
+  std::vector<int> labels;
+  std::vector<int64_t> index;
+};
+
+SplitRows GatherSplit(const nn::GnnClassifier& model,
+                      const nn::PropagatedInput& input,
+                      const std::vector<int>& labels,
+                      const std::vector<int64_t>& split);
+
 /// CE(train) [+ penalty] through RunEpochs, keeping the best-validation-
 /// loss parameters (patience early stop). Every train and validation
 /// forward runs from `input`, so the first layer's sparse product is never
-/// recomputed. Polls `deadline` and uses `session`, not
-/// options.deadline/checkpoint, so one poll sequence and rotation can span
-/// phases. Writes `*epochs_run` and `*diag`.
+/// recomputed. Without a penalty the step trains on the gathered train
+/// rows (GatherSplit); a penalty may read any row, so with one it runs on
+/// every row. `val` is GatherSplit of ds.split.val. Polls `deadline` and
+/// uses `session`, not options.deadline/checkpoint, so one poll sequence
+/// and rotation can span phases. Writes `*epochs_run` and `*diag`.
 common::Status TrainClassifierPhase(
     ClassifierPhase* phase, const TrainOptions& options,
     const common::Deadline& deadline, const CheckpointSession& session,
     const data::Dataset& ds, const nn::PropagatedInput& input,
-    const PenaltyFn& penalty, nn::GnnClassifier* model, common::Rng* rng,
-    int64_t* epochs_run, TrainDiagnostics* diag);
+    const SplitRows& val, const PenaltyFn& penalty, nn::GnnClassifier* model,
+    common::Rng* rng, int64_t* epochs_run, TrainDiagnostics* diag);
 
 /// `x` through the model's first sparse product over its own graph, as a
 /// tape-free constant: built once per fit and reused by every epoch.
@@ -157,11 +177,15 @@ nn::PredictionResult EvaluateAll(const nn::GnnClassifier& model,
                                  const nn::PropagatedInput& input,
                                  common::Rng* rng);
 
-/// Cross-entropy of the model on the validation split (evaluation mode) —
-/// the early-stopping signal used across the repository.
-double ValidationLoss(const nn::GnnClassifier& model,
-                      const nn::PropagatedInput& input,
-                      const data::Dataset& ds, common::Rng* rng);
+/// Cross-entropy of the model on the validation rows `val` (evaluation
+/// mode) — the early-stopping signal used across the repository.
+double ValidationLoss(const nn::GnnClassifier& model, const SplitRows& val,
+                      common::Rng* rng);
+
+/// Evaluation-mode accuracy (percent) on the validation rows `val` — the
+/// model-selection signal of the fine-tune loops.
+double ValidationAccuracyPct(const nn::GnnClassifier& model,
+                             const SplitRows& val, common::Rng* rng);
 
 }  // namespace fairwos::core
 

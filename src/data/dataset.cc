@@ -90,6 +90,10 @@ common::Status ValidateDataset(const Dataset& ds) {
   if (ds.split.train.empty() || ds.split.test.empty()) {
     return common::Status::InvalidArgument("train/test split empty");
   }
+  // Every training loop selects its model on the validation split.
+  if (ds.split.val.empty()) {
+    return common::Status::InvalidArgument("validation split empty");
+  }
   return common::Status::OK();
 }
 

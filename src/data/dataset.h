@@ -52,7 +52,8 @@ struct ColumnStats {
 ColumnStats StandardizeColumns(tensor::Tensor* features);
 
 /// Validates the Dataset invariants (sizes agree, labels/sens binary,
-/// split covers disjoint subsets). Returns the first violation found.
+/// split covers disjoint subsets, none of train, val and test empty).
+/// Returns the first violation found.
 common::Status ValidateDataset(const Dataset& ds);
 
 }  // namespace fairwos::data

@@ -1,5 +1,7 @@
 #include "nn/gnn.h"
 
+#include <algorithm>
+
 #include "common/trace.h"
 #include "nn/init.h"
 #include "tensor/ops.h"
@@ -226,6 +228,24 @@ PropagatedInput GnnEncoder::PropagateWith(
   return input;
 }
 
+PropagatedInput Rows(const PropagatedInput& input,
+                     const std::vector<int64_t>& ids) {
+  FW_CHECK(!input.gathered()) << "Rows: input is already gathered";
+  FW_CHECK(!ids.empty()) << "Rows: empty id set";
+  PropagatedInput out{input.backbone, input.adj, tensor::Tensor(),
+                      tensor::Tensor(), ids};
+  std::sort(out.rows.begin(), out.rows.end());
+  out.rows.erase(std::unique(out.rows.begin(), out.rows.end()),
+                 out.rows.end());
+  if (input.aggregate.defined()) {
+    out.aggregate = tensor::Rows(input.aggregate, out.rows);
+  }
+  if (input.backbone == Backbone::kSage) {
+    out.x = tensor::Rows(input.x, out.rows);
+  }
+  return out;
+}
+
 tensor::Tensor GnnEncoder::Forward(const PropagatedInput& input,
                                    bool training, common::Rng* rng) const {
   FW_CHECK(input.backbone == config_.backbone)
@@ -233,8 +253,16 @@ tensor::Tensor GnnEncoder::Forward(const PropagatedInput& input,
       << BackboneName(input.backbone) << "but the encoder is"
       << BackboneName(config_.backbone);
   FW_CHECK(input.adj != nullptr);
-  FW_CHECK_EQ(input.x.dim(0), input.adj->cols())
-      << "propagated input's x does not match its adjacency";
+  if (input.gathered()) {
+    FW_CHECK(row_local()) << "gathered input given to a"
+                          << config_.num_layers << "layer"
+                          << BackboneName(config_.backbone)
+                          << "encoder; only one-layer gcn, gin and sage "
+                             "encoders are row-local";
+  } else {
+    FW_CHECK_EQ(input.x.dim(0), input.adj->cols())
+        << "propagated input's x does not match its adjacency";
+  }
   const auto& adj = input.adj;
   // Layer 0 starts from the precomputed aggregate; deeper layers aggregate
   // their (trainable) input on every call.
@@ -266,7 +294,10 @@ tensor::Tensor GnnEncoder::Forward(const PropagatedInput& input,
       break;
   }
   if (config_.dropout > 0.0f) {
-    h = tensor::Dropout(h, config_.dropout, training, rng);
+    h = input.gathered()
+            ? tensor::DropoutRows(h, config_.dropout, training, rng,
+                                  input.rows, input.adj->rows())
+            : tensor::Dropout(h, config_.dropout, training, rng);
   }
   return h;
 }

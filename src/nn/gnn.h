@@ -135,12 +135,26 @@ struct GnnConfig {
 /// depends on the weights, so a GAT input carries no aggregate. Built by
 /// GnnEncoder::Propagate / PropagateWith for one backbone and consumed by
 /// GnnEncoder::Forward(const PropagatedInput&, ...).
+///
+/// Rows(input, ids) gathers some of its nodes: `rows` then lists them in
+/// ascending order, `aggregate` (and `x`, for SAGE) hold only their rows,
+/// and `adj` still describes all adj->rows() nodes. Forward on a gathered
+/// input returns just those rows of the full forward.
 struct PropagatedInput {
   Backbone backbone = Backbone::kGcn;
   std::shared_ptr<const tensor::SparseMatrix> adj;
-  tensor::Tensor x;
+  tensor::Tensor x;          // undefined in a gathered GCN or GIN input
   tensor::Tensor aggregate;  // undefined for GAT
+  std::vector<int64_t> rows;  // empty: every node
+
+  bool gathered() const { return !rows.empty(); }
 };
+
+/// The rows `ids` (any order, duplicates allowed, not empty) of a full
+/// input, in ascending node order. Tape-free callers build it under a
+/// NoGradGuard, once per fixed id set.
+PropagatedInput Rows(const PropagatedInput& input,
+                     const std::vector<int64_t>& ids);
 
 /// A stack of graph convolutions producing node representations h (the
 /// f_G of paper §III-E). The adjacency operators are captured at
@@ -153,6 +167,17 @@ struct PropagatedInput {
 /// the result (the paper's one-layer GNN, §V-A4, then does no sparse work
 /// per epoch at all). Forward(x) and ForwardWith(adj, x) are the same path,
 /// propagating on each call.
+///
+/// A row_local() encoder (one GCN, GIN or SAGE layer) computes each output
+/// row from the same row of the aggregate (and of x) alone, and every tensor
+/// kernel on that path is row-local (BackendPairTest.
+/// GatheredRowsMatchFullProductBitwise). So Forward on a gathered input
+/// transforms, drops out and returns only the gathered rows, bit-equal to
+/// those rows of the full forward. Dropout still draws masks for all N
+/// rows, so the RNG stream is the same. In backward the rows left out would
+/// have had zero gradients, which add only ±0 to the weight and bias sums,
+/// so the gradients are bit-equal as well. GAT and deeper stacks mix rows
+/// and take full inputs only.
 class GnnEncoder : public Module {
  public:
   GnnEncoder(const GnnConfig& config, const graph::Graph& g,
@@ -180,9 +205,16 @@ class GnnEncoder : public Module {
       const tensor::Tensor& x) const;
 
   /// The stack from a propagated input; aborts if `input` was built for
-  /// another backbone or its x does not match its adjacency.
+  /// another backbone, if its x does not match its adjacency, or if it is
+  /// gathered and this encoder is not row_local(). A gathered input gives
+  /// [len(input.rows), hidden].
   tensor::Tensor Forward(const PropagatedInput& input, bool training,
                          common::Rng* rng) const;
+
+  /// One GCN, GIN or SAGE layer: the encoders that take gathered inputs.
+  bool row_local() const {
+    return config_.num_layers == 1 && config_.backbone != Backbone::kGat;
+  }
 
   int64_t hidden() const { return config_.hidden; }
   const GnnConfig& config() const { return config_; }

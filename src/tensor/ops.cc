@@ -351,18 +351,12 @@ Tensor Rows(const Tensor& x, const std::vector<int64_t>& idx) {
                 });
 }
 
-Tensor Dropout(const Tensor& x, float p, bool training, common::Rng* rng) {
-  FW_CHECK_GE(p, 0.0f);
-  FW_CHECK_LT(p, 1.0f);
-  if (!training || p == 0.0f) return x;
-  FW_CHECK(rng != nullptr);
-  const float scale = 1.0f / (1.0f - p);
-  std::vector<float> mask(x.data().size());
+namespace {
+
+// x * mask, elementwise, with the mask kept for backward.
+Tensor ApplyDropoutMask(const Tensor& x, std::vector<float> mask) {
   FloatBuffer out(x.data().size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    mask[i] = rng->Bernoulli(1.0 - p) ? scale : 0.0f;
-    out[i] = x.data()[i] * mask[i];
-  }
+  for (size_t i = 0; i < out.size(); ++i) out[i] = x.data()[i] * mask[i];
   ImplPtr xi = x.impl_ptr();
   return MakeOp(x.shape(), std::move(out), {x},
                 [xi, mask = std::move(mask)](TensorImpl& self) {
@@ -372,6 +366,40 @@ Tensor Dropout(const Tensor& x, float p, bool training, common::Rng* rng) {
                     xi->grad[i] += self.grad[i] * mask[i];
                   }
                 });
+}
+
+}  // namespace
+
+Tensor Dropout(const Tensor& x, float p, bool training, common::Rng* rng) {
+  FW_CHECK_GE(p, 0.0f);
+  FW_CHECK_LT(p, 1.0f);
+  if (!training || p == 0.0f) return x;
+  FW_CHECK(rng != nullptr);
+  std::vector<float> mask(x.data().size());
+  rng->FillBernoulli(1.0 - p, 1.0f / (1.0f - p), mask.data(),
+                     static_cast<int64_t>(mask.size()));
+  return ApplyDropoutMask(x, std::move(mask));
+}
+
+Tensor DropoutRows(const Tensor& x, float p, bool training, common::Rng* rng,
+                   const std::vector<int64_t>& rows, int64_t num_rows) {
+  FW_CHECK_GE(p, 0.0f);
+  FW_CHECK_LT(p, 1.0f);
+  FW_CHECK_EQ(x.rank(), 2);
+  FW_CHECK_EQ(x.dim(0), static_cast<int64_t>(rows.size()));
+  if (!training || p == 0.0f) return x;
+  FW_CHECK(rng != nullptr);
+  const int64_t c = x.dim(1);
+  std::vector<float> full(static_cast<size_t>(num_rows * c));
+  rng->FillBernoulli(1.0 - p, 1.0f / (1.0f - p), full.data(), num_rows * c);
+  std::vector<float> mask(x.data().size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    FW_CHECK_GE(rows[r], 0);
+    FW_CHECK_LT(rows[r], num_rows);
+    std::copy_n(full.data() + rows[r] * c, c,
+                mask.data() + static_cast<int64_t>(r) * c);
+  }
+  return ApplyDropoutMask(x, std::move(mask));
 }
 
 Tensor Softmax(const Tensor& logits) {

@@ -121,6 +121,14 @@ Tensor GatAggregate(const std::shared_ptr<const SparseMatrix>& adj,
 /// elements by 1/(1 - p). Identity when `training` is false or p == 0.
 Tensor Dropout(const Tensor& x, float p, bool training, common::Rng* rng);
 
+/// Dropout of some rows of a [num_rows, C] matrix, given only those rows:
+/// x is [len(rows), C], row r being row rows[r] of the whole. Draws the
+/// masks of all num_rows rows, as Dropout on the whole would, and applies
+/// each listed row's mask, so the result is those rows of Dropout(whole)
+/// and the RNG ends in the same state.
+Tensor DropoutRows(const Tensor& x, float p, bool training, common::Rng* rng,
+                   const std::vector<int64_t>& rows, int64_t num_rows);
+
 // --- Probabilities and fused losses ----------------------------------------------
 
 /// Row-wise softmax of a [N, C] matrix (numerically stabilised).

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/registry.h"
+#include "core/train_loop.h"
 #include "data/synthetic.h"
 #include "eval/harness.h"
 #include "nn/gnn.h"
@@ -341,6 +342,70 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<2>(info.param) ? "train" : "eval");
     });
 
+// Rows-only training (core::GatherSplit): a row-local encoder run on the
+// gathered rows of a split gives those rows of the full forward, leaves the
+// RNG where the full dropout leaves it, and back-propagates a CE over the
+// split into bit-equal gradients for every parameter, head included.
+class PropagateBitsGatheredTest : public PropagateBitsTest {};
+
+TEST_P(PropagateBitsGatheredTest, GatheredRowsMatchFullPathBitwise) {
+  const GnnConfig config = Config();
+  const graph::Graph g = ChordRingGraph(9);
+  common::Rng init_full(11), init_rows(11);
+  GnnClassifier full(config, g, &init_full);
+  GnnClassifier rows(config, g, &init_rows);
+  ASSERT_TRUE(rows.encoder().row_local());
+  common::Rng data_rng(12);
+  const tensor::Tensor x = tensor::Tensor::RandNormal({9, 5}, 1.0f, &data_rng);
+  const std::vector<int> labels = {0, 1, 1, 0, 1, 0, 0, 1, 1};
+  // Unordered, as a shuffled split is: the CE sums in this order.
+  const std::vector<int64_t> split = {7, 2, 5, 0, 8};
+
+  PropagatedInput input;
+  core::SplitRows gathered;
+  {
+    tensor::NoGradGuard no_grad;
+    input = full.encoder().Propagate(x);
+    gathered = core::GatherSplit(rows, input, labels, split);
+  }
+  ASSERT_EQ(gathered.input.rows, (std::vector<int64_t>{0, 2, 5, 7, 8}));
+  EXPECT_EQ(gathered.input.adj->rows(), 9);
+
+  common::Rng rng_full(99), rng_rows(99);
+  const tensor::Tensor h_full = full.Embed(input, training(), &rng_full);
+  const tensor::Tensor h_rows =
+      rows.Embed(gathered.input, training(), &rng_rows);
+  EXPECT_EQ(rng_rows.SaveState(), rng_full.SaveState());
+  const tensor::Tensor logits_full = full.Logits(h_full);
+  const tensor::Tensor logits_rows = rows.Logits(h_rows);
+  const auto& ids = gathered.input.rows;
+  EXPECT_EQ(Bits(h_rows.data()), Bits(tensor::Rows(h_full, ids).data()));
+  EXPECT_EQ(Bits(logits_rows.data()),
+            Bits(tensor::Rows(logits_full, ids).data()));
+
+  tensor::Tensor ce_full =
+      tensor::SoftmaxCrossEntropy(logits_full, labels, split);
+  tensor::Tensor ce_rows = tensor::SoftmaxCrossEntropy(
+      logits_rows, gathered.labels, gathered.index);
+  EXPECT_EQ(std::bit_cast<uint32_t>(ce_rows.item()),
+            std::bit_cast<uint32_t>(ce_full.item()));
+  ce_full.Backward();
+  ce_rows.Backward();
+  const auto full_grads = GradBits(full);
+  ASSERT_EQ(full_grads.size(), rows.parameters().size());
+  EXPECT_EQ(GradBits(rows), full_grads);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RowLocalBackbones, PropagateBitsGatheredTest,
+    ::testing::Combine(::testing::Values(Backbone::kGcn, Backbone::kGin,
+                                         Backbone::kSage),
+                       ::testing::Values(int64_t{1}), ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(BackboneName(std::get<0>(info.param))) + "_" +
+             (std::get<2>(info.param) ? "train" : "eval");
+    });
+
 TEST(PropagatedInputTest, RejectsMismatchedInput) {
   common::Rng rng(14);
   const graph::Graph g = RingGraph(6);
@@ -355,6 +420,30 @@ TEST(PropagatedInputTest, RejectsMismatchedInput) {
   PropagatedInput stale = gcn.Propagate(x);
   stale.x = tensor::Tensor::Ones({7, 3});
   EXPECT_DEATH(gcn.Forward(stale, false, &rng), "adjacency");
+}
+
+TEST(PropagatedInputTest, RejectsGatheredInputOnMixingEncoders) {
+  // GAT attends over neighbours and a second layer aggregates the first
+  // layer's output, so neither can run from a few gathered rows.
+  common::Rng rng(15);
+  const graph::Graph g = RingGraph(6);
+  const tensor::Tensor x = tensor::Tensor::Ones({6, 3});
+  const std::vector<int64_t> ids = {1, 4};
+  GnnConfig config;
+  config.in_features = 3;
+  config.hidden = 4;
+  config.backbone = Backbone::kGat;
+  config.gat_heads = 2;
+  GnnEncoder gat(config, g, &rng);
+  EXPECT_FALSE(gat.row_local());
+  EXPECT_DEATH(gat.Forward(Rows(gat.Propagate(x), ids), false, &rng),
+               "gathered input given to a 1 layer gat encoder");
+  config.backbone = Backbone::kGcn;
+  config.num_layers = 2;
+  GnnEncoder deep(config, g, &rng);
+  EXPECT_FALSE(deep.row_local());
+  EXPECT_DEATH(deep.Forward(Rows(deep.Propagate(x), ids), false, &rng),
+               "gathered input given to a 2 layer gcn encoder");
 }
 
 TEST(BackboneParseTest, NewNamesRoundTrip) {

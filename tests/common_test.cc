@@ -121,6 +121,24 @@ TEST(RngTest, BernoulliRate) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
+TEST(RngTest, FillBernoulliMatchesPerElementLoop) {
+  // Dropout draws its masks in one FillBernoulli call; it must be the
+  // per-element Bernoulli loop it replaced, draw for draw, RNG state
+  // included (an odd Normal() leaves a cached variate that must survive).
+  for (const double p : {0.0, 0.5, 0.8, 1.0}) {
+    Rng loop_rng(21), fill_rng(21);
+    loop_rng.Normal();
+    fill_rng.Normal();
+    const int64_t n = 3 * 16 + 5;
+    std::vector<float> loop_mask(static_cast<size_t>(n));
+    for (float& m : loop_mask) m = loop_rng.Bernoulli(p) ? 2.0f : 0.0f;
+    std::vector<float> fill_mask(static_cast<size_t>(n), -1.0f);
+    fill_rng.FillBernoulli(p, 2.0f, fill_mask.data(), n);
+    EXPECT_EQ(fill_mask, loop_mask) << "p = " << p;
+    EXPECT_EQ(fill_rng.SaveState(), loop_rng.SaveState()) << "p = " << p;
+  }
+}
+
 TEST(RngTest, SampleWithoutReplacementIsDistinctAndInRange) {
   Rng rng(11);
   auto sample = rng.SampleWithoutReplacement(100, 30);

@@ -76,6 +76,22 @@ TEST_F(DataIoTest, CorruptSplitRejected) {
   EXPECT_FALSE(LoadDataset(dir_).ok());
 }
 
+TEST_F(DataIoTest, EmptyValidationSplitRejected) {
+  auto ds = MakeDataset("toy", {}).value();
+  ASSERT_TRUE(SaveDataset(dir_, ds).ok());
+  {
+    // The validation rows become training rows: train and test remain.
+    std::ofstream out(dir_ + "/split.csv");
+    out << "node,part\n";
+    for (int64_t v : ds.split.train) out << v << ",train\n";
+    for (int64_t v : ds.split.val) out << v << ",train\n";
+    for (int64_t v : ds.split.test) out << v << ",test\n";
+  }
+  const auto loaded = LoadDataset(dir_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kInvalidArgument);
+}
+
 TEST_F(DataIoTest, SaveRejectsInvalidDataset) {
   auto ds = MakeDataset("toy", {}).value();
   ds.labels[0] = 7;

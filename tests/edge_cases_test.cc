@@ -134,6 +134,32 @@ TEST(EdgeCaseTest, MinimumViableSplit) {
   EXPECT_EQ(split.test.size(), 1u);
 }
 
+TEST(EdgeCaseTest, EmptyValidationSplitIsRejected) {
+  // Every training loop selects its model on the validation split, so a
+  // dataset without one is refused up front instead of aborting mid-fit.
+  auto ds = TinyDataset(16, true);
+  ds.split.train.insert(ds.split.train.end(), ds.split.val.begin(),
+                        ds.split.val.end());
+  ds.split.val.clear();
+  EXPECT_EQ(data::ValidateDataset(ds).code(),
+            common::StatusCode::kInvalidArgument);
+
+  baselines::MethodOptions options;
+  options.train.epochs = 5;
+  auto method = baselines::MakeMethod("vanilla", options).value();
+  auto fitted = method->Fit(ds, 1);
+  ASSERT_FALSE(fitted.ok());
+  EXPECT_EQ(fitted.status().code(), common::StatusCode::kInvalidArgument);
+
+  core::FairwosConfig config;
+  config.pretrain_epochs = 5;
+  config.finetune_epochs = 1;
+  config.encoder.epochs = 2;
+  auto out = core::TrainFairwos(config, ds, 1, nullptr);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), common::StatusCode::kInvalidArgument);
+}
+
 TEST(EdgeCaseTest, LambdaSolverSingleAttribute) {
   auto lambda = core::SolveLambda({42.0}, 3.0, false);
   ASSERT_EQ(lambda.size(), 1u);

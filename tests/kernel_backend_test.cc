@@ -6,6 +6,7 @@
 // so they need no pair test. Plus the 64-byte alignment of tensor storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -200,6 +201,49 @@ TEST_F(BackendPairTest, GatheredRowsMatchFullProductBitwise) {
                     x.data(), m, y_sub.data());
       EXPECT_TRUE(BitEqual(gathered(y_full, m), y_sub))
           << "Spmm " << backend->name() << " @" << threads;
+    }
+  }
+}
+
+// The weight gradient of a rows-only backward: GemmTN over just the kept
+// rows equals GemmTN over all rows whose dropped gradient rows are zero.
+// Each c element sums its n contributions serially in row order (either
+// backend, any thread count: threads split c, never the sum), from a buffer
+// that starts at +0. A dropped row adds a * (±0) = ±0, or fma(a, ±0, acc)
+// = acc + (±0) exactly. In round-to-nearest x + (±0) == x for every x but
+// -0, and a sum that starts at +0 never becomes -0 (only -0 + -0 is -0),
+// so a dropped row never changes a partial sum, whatever its sign of zero.
+TEST_F(BackendPairTest, GemmTNOverKeptRowsMatchesZeroedGradientRows) {
+  const std::vector<int64_t> kept = {0, 3, 7, 8, 21, 49};  // ascending
+  const int64_t n = 50, k = 37, m = 41;
+  const auto a = RandomVec(static_cast<size_t>(n * k), 40, true);
+  auto g = RandomVec(static_cast<size_t>(n * m), 41, true);
+  std::vector<float> a_kept, g_kept;
+  size_t next = 0;
+  for (int64_t r = 0; r < n; ++r) {
+    const auto a_row = a.begin() + r * k;
+    const auto g_row = g.begin() + r * m;
+    if (next < kept.size() && kept[next] == r) {
+      a_kept.insert(a_kept.end(), a_row, a_row + k);
+      g_kept.insert(g_kept.end(), g_row, g_row + m);
+      ++next;
+    } else {
+      // Dropped rows carry zero gradients of either sign.
+      std::fill(g_row, g_row + m, (r % 2 == 0) ? 0.0f : -0.0f);
+    }
+  }
+  const int64_t rows = static_cast<int64_t>(kept.size());
+
+  for (const KernelBackend* backend : {&GetScalarBackend(), avx2_}) {
+    for (int threads : {1, 8}) {
+      common::SetGlobalThreadCount(threads);
+      std::vector<float> c_full(static_cast<size_t>(k * m), 0.0f);
+      backend->GemmTN(a.data(), g.data(), c_full.data(), n, k, m);
+      std::vector<float> c_kept(c_full.size(), 0.0f);
+      backend->GemmTN(a_kept.data(), g_kept.data(), c_kept.data(), rows, k,
+                      m);
+      EXPECT_TRUE(BitEqual(c_full, c_kept))
+          << "GemmTN " << backend->name() << " @" << threads;
     }
   }
 }
