@@ -26,7 +26,8 @@ struct CounterfactualConfig {
 
 /// The search result: for attribute i and anchor position a,
 /// matches[i][a] holds up to K node ids ordered by increasing embedding
-/// distance. Fewer than K entries means the constraint set was exhausted.
+/// distance, equal distances by node id. Fewer than K entries means the
+/// constraint set was exhausted.
 struct CounterfactualSet {
   std::vector<int64_t> anchors;
   std::vector<std::vector<std::vector<int64_t>>> matches;  // [I][A][<=K]

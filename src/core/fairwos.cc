@@ -63,6 +63,10 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
   if (config.alpha < 0.0) {
     return common::Status::InvalidArgument("alpha must be non-negative");
   }
+  if (config.counterfactual.top_k < 1) {
+    return common::Status::InvalidArgument(
+        "counterfactual top_k must be at least 1");
+  }
   common::Stopwatch watch;
   common::Rng rng(seed);
   // Filled in place, so callers see how far a failed run got.
@@ -256,25 +260,22 @@ common::Result<std::unique_ptr<FittedGnnModel>> FitFairwos(
       const double anchor_norm =
           1.0 / static_cast<double>(std::max<size_t>(cf.anchors.size(), 1));
       std::vector<tensor::Tensor> distances(static_cast<size_t>(num_attrs));
+      const auto top_k = static_cast<size_t>(config.counterfactual.top_k);
       for (int64_t i = 0; i < num_attrs; ++i) {
-        // Dᵢ = (1/|A|) Σ_a Σ_k ‖h_a − h̄ᵏ_a‖²  (Eq. 13 with Eq. 33's L2²).
-        tensor::Tensor d_i;
-        for (int64_t k = 0; k < config.counterfactual.top_k; ++k) {
-          std::vector<int64_t> anchor_ids, cf_ids;
-          for (size_t a = 0; a < cf.anchors.size(); ++a) {
-            const auto& slot = cf.matches[static_cast<size_t>(i)][a];
-            if (static_cast<int64_t>(slot.size()) > k) {
-              anchor_ids.push_back(cf.anchors[a]);
-              cf_ids.push_back(slot[static_cast<size_t>(k)]);
-            }
+        // Dᵢ = (1/|A|) Σ_a Σ_k ‖h_a − h̄ᵏ_a‖²  (Eq. 13 with Eq. 33's L2²);
+        // term k pairs every anchor that has a k-th match with it.
+        std::vector<std::vector<int64_t>> anchor_ids(top_k), cf_ids(top_k);
+        for (size_t a = 0; a < cf.anchors.size(); ++a) {
+          const auto& slot = cf.matches[static_cast<size_t>(i)][a];
+          for (size_t k = 0; k < std::min(slot.size(), top_k); ++k) {
+            anchor_ids[k].push_back(cf.anchors[a]);
+            cf_ids[k].push_back(slot[k]);
           }
-          if (anchor_ids.empty()) continue;
-          tensor::Tensor diff = tensor::Sub(tensor::Rows(h, anchor_ids),
-                                            tensor::Rows(h, cf_ids));
-          tensor::Tensor dist = tensor::MulScalar(
-              tensor::SumSquares(diff), static_cast<float>(anchor_norm));
-          d_i = d_i.defined() ? tensor::Add(d_i, dist) : dist;
         }
+        tensor::Tensor d_i =
+            tensor::PairDistanceSum(h, std::move(anchor_ids),
+                                    std::move(cf_ids),
+                                    static_cast<float>(anchor_norm));
         if (!d_i.defined()) continue;  // constraint set empty for attr i
         distances[static_cast<size_t>(i)] = d_i;
         local_stats.final_distances[static_cast<size_t>(i)] = d_i.item();

@@ -326,6 +326,76 @@ Tensor SumSquares(const Tensor& a) {
   });
 }
 
+Tensor PairDistanceSum(const Tensor& x,
+                       std::vector<std::vector<int64_t>> anchors,
+                       std::vector<std::vector<int64_t>> matches,
+                       float scale) {
+  FW_CHECK_EQ(x.rank(), 2);
+  FW_CHECK_EQ(anchors.size(), matches.size());
+  const int64_t n = x.dim(0), c = x.dim(1);
+  const float* xd = x.data().data();
+  FloatBuffer diff;
+  float sum = 0.0f;
+  bool any = false;
+  for (size_t k = 0; k < anchors.size(); ++k) {
+    const auto& as = anchors[k];
+    const auto& ms = matches[k];
+    FW_CHECK_EQ(as.size(), ms.size()) << "PairDistanceSum: list " << k;
+    if (as.empty()) continue;
+    diff.resize(as.size() * static_cast<size_t>(c));
+    for (size_t r = 0; r < as.size(); ++r) {
+      FW_CHECK(as[r] >= 0 && as[r] < n && ms[r] >= 0 && ms[r] < n)
+          << "PairDistanceSum: row out of range";
+      const float* xa = xd + as[r] * c;
+      const float* xm = xd + ms[r] * c;
+      float* out = diff.data() + static_cast<int64_t>(r) * c;
+      for (int64_t j = 0; j < c; ++j) out[j] = xa[j] - xm[j];
+    }
+    const float dist =
+        static_cast<float>(ActiveBackend().Reduce(
+            ReduceKind::kSumSquares, diff.data(),
+            static_cast<int64_t>(diff.size()))) *
+        scale;
+    sum = any ? sum + dist : dist;
+    any = true;
+  }
+  if (!any) return Tensor();
+  ImplPtr xi = x.impl_ptr();
+  return MakeOp(
+      {1}, {sum}, {x},
+      [xi, anchors = std::move(anchors), matches = std::move(matches), scale,
+       c](TensorImpl& self) {
+        if (!NeedsGrad(xi)) return;
+        xi->EnsureGrad();
+        // Replays the chain's tape: each Add hands g on, the MulScalar
+        // gives g·scale, SumSquares 2·(g·scale)·diff, and Sub passes that
+        // to the anchor rows and its negation to the match rows. Backward
+        // visits k descending and, for each k, the match rows' gather
+        // before the anchor rows'. The chain's intermediate gradients start
+        // at zero, so each holds `0.0f +` its value; that only turns −0
+        // into +0, and the last one, taken just before the scatter into
+        // x's gradient, settles every earlier sign.
+        const float two_g = 2.0f * (self.grad[0] * scale);
+        const float* xd = xi->data.data();
+        float* gx = xi->grad.data();
+        for (size_t k = anchors.size(); k-- > 0;) {
+          const auto& as = anchors[k];
+          const auto& ms = matches[k];
+          for (bool match_rows : {true, false}) {
+            for (size_t r = 0; r < as.size(); ++r) {
+              const float* xa = xd + as[r] * c;
+              const float* xm = xd + ms[r] * c;
+              float* dst = gx + (match_rows ? ms[r] : as[r]) * c;
+              for (int64_t j = 0; j < c; ++j) {
+                const float gdiff = two_g * (xa[j] - xm[j]);
+                dst[j] += 0.0f + (match_rows ? -gdiff : gdiff);
+              }
+            }
+          }
+        }
+      });
+}
+
 Tensor Rows(const Tensor& x, const std::vector<int64_t>& idx) {
   FW_CHECK_EQ(x.rank(), 2);
   const int64_t n = x.dim(0), c = x.dim(1);

@@ -156,6 +156,18 @@ Tensor SoftCrossEntropy(const Tensor& logits, const Tensor& soft_targets,
 /// consistency distance, paper Eq. (33)).
 Tensor SumSquares(const Tensor& a);
 
+/// Counterfactual distance of paper Eq. (13) with Eq. (33)'s L2²:
+/// Σ_k scale · ‖x[anchors[k]] − x[matches[k]]‖² for a [N, C] matrix x, where
+/// row anchors[k][r] pairs with row matches[k][r]; lists of one k must have
+/// the same length, and empty ones are skipped. One tape node whose value
+/// and gradient equal, bit for bit, the chain Add(…Add(d₀, d₁)…) with
+/// d_k = MulScalar(SumSquares(Sub(Rows(x, anchors[k]), Rows(x, matches[k]))),
+/// scale). Undefined (no pairs at all) when every list is empty.
+Tensor PairDistanceSum(const Tensor& x,
+                       std::vector<std::vector<int64_t>> anchors,
+                       std::vector<std::vector<int64_t>> matches,
+                       float scale);
+
 }  // namespace fairwos::tensor
 
 #endif  // FAIRWOS_TENSOR_OPS_H_

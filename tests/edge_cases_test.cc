@@ -63,6 +63,22 @@ TEST(EdgeCaseTest, FairwosOnTinyGraph) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 }
 
+TEST(EdgeCaseTest, FairwosRejectsTopKBelowOne) {
+  // Refused up front: the epoch counts below would take minutes to run
+  // before the search saw the bad K.
+  auto ds = TinyDataset(16, /*with_edges=*/true);
+  for (int64_t k : {0, -2}) {
+    core::FairwosConfig config;
+    config.encoder.epochs = 1000000;
+    config.pretrain_epochs = 1000000;
+    config.counterfactual.top_k = k;
+    auto out = core::TrainFairwos(config, ds, 1, nullptr);
+    ASSERT_FALSE(out.ok()) << "top_k " << k;
+    EXPECT_EQ(out.status().code(), common::StatusCode::kInvalidArgument);
+    EXPECT_NE(out.status().ToString().find("top_k"), std::string::npos);
+  }
+}
+
 TEST(EdgeCaseTest, SingleClassTrainingLabels) {
   // All-positive labels: the model should learn the constant answer and
   // the fairness metrics should degrade gracefully (gaps become 0/defined).
