@@ -7,9 +7,10 @@
 // inference engine consumes epochs.
 //
 // After the script drains, a refresh probe republishes single-edge
-// mutations at the drifted scale and times the first operator build with
-// incremental refresh on vs off: the incremental cost must track the
-// affected-row count, the rebuild cost the whole edge set. --json-out
+// mutations at the drifted scale and times the first operator build, once
+// patched from the previous epoch and once from scratch over the
+// materialized graph: the incremental cost must track the affected-row
+// count, the rebuild cost the whole edge set. --json-out
 // writes the full report (the serve-chaos CI job uploads it).
 //
 //   ./bench_graph_mutation [--dataset toy] [--scale 20] [--steps 2000]
@@ -37,7 +38,8 @@ namespace {
 /// MutableGraph over `base`, timing the first operator build after each
 /// publish. With `incremental` the build patches the previous epoch's
 /// cached operator (cost ~ |affected| rows); without it every publish
-/// rebuilds from the full CSR (cost ~ O(E)).
+/// materializes the snapshot and builds the operator from scratch
+/// (cost ~ O(E)).
 struct RefreshProbe {
   std::vector<double> first_op_ms;
   std::vector<double> affected;
@@ -50,7 +52,6 @@ RefreshProbe RunRefreshProbe(const std::shared_ptr<const graph::Graph>& base,
                              uint64_t seed, bool incremental) {
   graph::MutableGraphOptions options;
   options.max_pending = 2 * rounds + 4;
-  options.incremental_refresh = incremental;
   graph::MutableGraph g(base, features, options);
   g.Current()->GcnNormalizedAdjacency();  // seed the epoch-0 operator cache
 
@@ -66,7 +67,11 @@ RefreshProbe RunRefreshProbe(const std::shared_ptr<const graph::Graph>& base,
     if (!g.AddEdge(u, v).ok()) continue;
     auto snap = g.Publish();
     common::Stopwatch op_watch;
-    snap->GcnNormalizedAdjacency();
+    if (incremental) {
+      snap->GcnNormalizedAdjacency();
+    } else {
+      snap->Materialized()->GcnNormalizedAdjacency();
+    }
     probe.first_op_ms.push_back(op_watch.Millis());
     probe.affected.push_back(
         static_cast<double>(snap->affected_nodes().size()));
@@ -75,7 +80,8 @@ RefreshProbe RunRefreshProbe(const std::shared_ptr<const graph::Graph>& base,
     // Retract the probe edge so every round measures the same |affected|
     // profile; the retraction publish also re-seeds the operator cache.
     if (!g.RemoveEdge(u, v).ok()) break;
-    g.Publish()->GcnNormalizedAdjacency();
+    const auto retracted = g.Publish();
+    if (incremental) retracted->GcnNormalizedAdjacency();
   }
   return probe;
 }
@@ -165,7 +171,7 @@ int Main(int argc, char** argv) {
   const auto snap = g.Current();
 
   // Refresh probe at the drifted scale: same base graph, same probe edges,
-  // only the refresh policy differs between the two passes.
+  // only the operator build differs between the two passes.
   const std::shared_ptr<const graph::Graph> drifted = snap->Materialized();
   const tensor::Tensor drifted_features = snap->Features();
   const RefreshProbe inc = RunRefreshProbe(

@@ -20,7 +20,9 @@ struct TrialSlot {
     kSkipped,   // never launched (deadline expired or halt raised)
     kDone,      // metrics valid
     kFailed,    // status holds the trial error
-    kDeadline,  // the trial itself hit its deadline mid-training
+    kAbort,     // status goes back to the caller as itself: the trial hit
+                // its deadline mid-training, or the configuration is invalid
+                // and every trial would fail the same way
   };
   State state = State::kSkipped;
   TrialMetrics metrics;
@@ -88,9 +90,10 @@ common::Result<AggregateMetrics> RunRepeated(core::FairMethod* method,
       if (trial.ok()) {
         slot.state = TrialSlot::State::kDone;
         slot.metrics = *trial;
-      } else if (trial.status().code() ==
-                 common::StatusCode::kDeadlineExceeded) {
-        slot.state = TrialSlot::State::kDeadline;
+      } else if (const common::StatusCode code = trial.status().code();
+                 code == common::StatusCode::kDeadlineExceeded ||
+                 code == common::StatusCode::kInvalidArgument) {
+        slot.state = TrialSlot::State::kAbort;
         slot.status = trial.status();
         halt.store(true, std::memory_order_relaxed);
       } else {
@@ -114,9 +117,10 @@ common::Result<AggregateMetrics> RunRepeated(core::FairMethod* method,
   for (int64_t t = 0; t < trials; ++t) {
     const TrialSlot& slot = slots[static_cast<size_t>(t)];
     switch (slot.state) {
-      case TrialSlot::State::kDeadline:
-        // An interrupted training loop left a resume checkpoint behind —
-        // surface that to the caller instead of aggregating around it.
+      case TrialSlot::State::kAbort:
+        // An interrupted training loop left a resume checkpoint behind, or
+        // the method rejected its configuration — surface that to the
+        // caller instead of aggregating around it.
         return slot.status;
       case TrialSlot::State::kSkipped: {
         if (deadline_reported) break;

@@ -48,7 +48,10 @@ common::Result<TrialMetrics> RunTrial(core::FairMethod* method,
 
 /// Runs `trials` independent trials with seeds derived from `base_seed`.
 /// Tolerates partial failure: an errored trial is skipped and counted in
-/// `failed_trials`; an error is returned only when every trial fails.
+/// `failed_trials`; an error is returned only when every trial fails. A
+/// trial that returns InvalidArgument is not skipped: a configuration the
+/// method rejects fails every trial the same way, so that Status comes
+/// back as itself.
 ///
 /// Trials execute in parallel on the global thread pool (--threads /
 /// FAIRWOS_THREADS; docs/parallelism.md). Every trial seed is pre-drawn

@@ -86,9 +86,17 @@ void DeltaOverlay::AppendNeighbors(int64_t v,
 }
 
 int64_t DeltaOverlay::Degree(int64_t v) const {
-  std::vector<int64_t> neighbors;
-  AppendNeighbors(v, &neighbors);
-  return static_cast<int64_t>(neighbors.size());
+  FW_CHECK_GE(v, 0);
+  FW_CHECK_LT(v, num_nodes());
+  int64_t degree = 0;
+  if (v < base_->num_nodes()) {
+    for (int64_t u : base_->Neighbors(v)) {
+      if (removed_edges_.count(EdgeKey(u, v)) == 0) ++degree;
+    }
+  }
+  auto it = added_adj_.find(v);
+  if (it != added_adj_.end()) degree += static_cast<int64_t>(it->second.size());
+  return degree;
 }
 
 common::Status DeltaOverlay::Validate(const GraphMutation& m) const {

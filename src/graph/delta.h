@@ -96,8 +96,9 @@ class DeltaOverlay {
   }
 
   /// Materializes the merged view as a fresh Graph. Neighbor *sets* (and
-  /// therefore every CSR adjacency operator, which sorts its COO entries)
-  /// are identical to a Graph built from scratch with the same edges.
+  /// therefore every CSR adjacency operator, which sorts each row's
+  /// neighbors) are identical to a Graph built from scratch with the same
+  /// edges.
   Graph Materialize() const;
 
  private:

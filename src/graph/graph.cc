@@ -81,71 +81,85 @@ double Graph::EdgeHomophily(const std::vector<int>& groups) const {
   return static_cast<double>(same) / static_cast<double>(num_edges_);
 }
 
-std::shared_ptr<tensor::SparseMatrix> Graph::GcnNormalizedAdjacency() const {
-  const int64_t n = num_nodes();
-  std::vector<double> inv_sqrt_deg(static_cast<size_t>(n));
-  for (int64_t v = 0; v < n; ++v) {
-    // Degree with the self-loop counted (D̃ = D + I).
-    inv_sqrt_deg[static_cast<size_t>(v)] =
-        1.0 / std::sqrt(static_cast<double>(Degree(v)) + 1.0);
-  }
-  std::vector<tensor::CooEntry> entries;
-  entries.reserve(static_cast<size_t>(2 * num_edges_ + n));
-  for (int64_t u = 0; u < n; ++u) {
-    const double du = inv_sqrt_deg[static_cast<size_t>(u)];
-    entries.push_back({u, u, static_cast<float>(du * du)});
-    for (int64_t v : Neighbors(u)) {
-      entries.push_back(
-          {u, v, static_cast<float>(du * inv_sqrt_deg[static_cast<size_t>(v)])});
+void AppendOperatorRow(OperatorKind kind, int64_t row,
+                       const std::vector<int64_t>& neighbors,
+                       const std::function<int64_t(int64_t)>& degree,
+                       std::vector<int64_t>* col_idx,
+                       std::vector<float>* values) {
+  const int64_t deg = static_cast<int64_t>(neighbors.size());
+  // Neighbor entries in column order, with the self-loop entry `diag`
+  // slotted in before the first neighbor above `row`.
+  auto append_with_diag = [&](auto value_of, float diag) {
+    bool placed = false;
+    for (int64_t v : neighbors) {
+      if (!placed && row < v) {
+        col_idx->push_back(row);
+        values->push_back(diag);
+        placed = true;
+      }
+      col_idx->push_back(v);
+      values->push_back(value_of(v));
     }
+    if (!placed) {
+      col_idx->push_back(row);
+      values->push_back(diag);
+    }
+  };
+  auto append_neighbors = [&](float value) {
+    for (int64_t v : neighbors) {
+      col_idx->push_back(v);
+      values->push_back(value);
+    }
+  };
+  switch (kind) {
+    case OperatorKind::kGcnNormalized: {
+      const double dr = 1.0 / std::sqrt(static_cast<double>(deg) + 1.0);
+      append_with_diag(
+          [&](int64_t v) {
+            const double dv =
+                1.0 / std::sqrt(static_cast<double>(degree(v)) + 1.0);
+            return static_cast<float>(dr * dv);
+          },
+          static_cast<float>(dr * dr));
+      break;
+    }
+    case OperatorKind::kPlain:
+      append_neighbors(1.0f);
+      break;
+    case OperatorKind::kRowNormalized: {
+      const float inv = 1.0f / static_cast<float>(deg + 1);
+      append_with_diag([&](int64_t) { return inv; }, inv);
+      break;
+    }
+    case OperatorKind::kSelfLoops:
+      append_with_diag([](int64_t) { return 1.0f; }, 1.0f);
+      break;
+    case OperatorKind::kNeighborMean:
+      if (deg > 0) append_neighbors(1.0f / static_cast<float>(deg));
+      break;
   }
-  return tensor::SparseMatrix::FromCoo(n, n, std::move(entries));
 }
 
-std::shared_ptr<tensor::SparseMatrix> Graph::PlainAdjacency() const {
+std::shared_ptr<tensor::SparseMatrix> Graph::Operator(
+    OperatorKind kind) const {
   const int64_t n = num_nodes();
-  std::vector<tensor::CooEntry> entries;
-  entries.reserve(static_cast<size_t>(2 * num_edges_));
-  for (int64_t u = 0; u < n; ++u) {
-    for (int64_t v : Neighbors(u)) entries.push_back({u, v, 1.0f});
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<int64_t> col_idx;
+  std::vector<float> values;
+  col_idx.reserve(static_cast<size_t>(2 * num_edges_ + n));
+  values.reserve(static_cast<size_t>(2 * num_edges_ + n));
+  const std::function<int64_t(int64_t)> degree = [this](int64_t v) {
+    return Degree(v);
+  };
+  std::vector<int64_t> neighbors;
+  for (int64_t r = 0; r < n; ++r) {
+    neighbors = adj_[static_cast<size_t>(r)];
+    std::sort(neighbors.begin(), neighbors.end());
+    AppendOperatorRow(kind, r, neighbors, degree, &col_idx, &values);
+    row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(col_idx.size());
   }
-  return tensor::SparseMatrix::FromCoo(n, n, std::move(entries));
-}
-
-std::shared_ptr<tensor::SparseMatrix> Graph::RowNormalizedAdjacency() const {
-  const int64_t n = num_nodes();
-  std::vector<tensor::CooEntry> entries;
-  entries.reserve(static_cast<size_t>(2 * num_edges_ + n));
-  for (int64_t u = 0; u < n; ++u) {
-    const float inv = 1.0f / static_cast<float>(Degree(u) + 1);
-    entries.push_back({u, u, inv});
-    for (int64_t v : Neighbors(u)) entries.push_back({u, v, inv});
-  }
-  return tensor::SparseMatrix::FromCoo(n, n, std::move(entries));
-}
-
-std::shared_ptr<tensor::SparseMatrix> Graph::AdjacencyWithSelfLoops() const {
-  const int64_t n = num_nodes();
-  std::vector<tensor::CooEntry> entries;
-  entries.reserve(static_cast<size_t>(2 * num_edges_ + n));
-  for (int64_t u = 0; u < n; ++u) {
-    entries.push_back({u, u, 1.0f});
-    for (int64_t v : Neighbors(u)) entries.push_back({u, v, 1.0f});
-  }
-  return tensor::SparseMatrix::FromCoo(n, n, std::move(entries));
-}
-
-std::shared_ptr<tensor::SparseMatrix> Graph::NeighborMeanAdjacency() const {
-  const int64_t n = num_nodes();
-  std::vector<tensor::CooEntry> entries;
-  entries.reserve(static_cast<size_t>(2 * num_edges_));
-  for (int64_t u = 0; u < n; ++u) {
-    const int64_t deg = Degree(u);
-    if (deg == 0) continue;
-    const float inv = 1.0f / static_cast<float>(deg);
-    for (int64_t v : Neighbors(u)) entries.push_back({u, v, inv});
-  }
-  return tensor::SparseMatrix::FromCoo(n, n, std::move(entries));
+  return tensor::SparseMatrix::FromCsr(n, n, std::move(row_ptr),
+                                       std::move(col_idx), std::move(values));
 }
 
 common::Result<Graph> LoadEdgeListCsv(const std::string& path,

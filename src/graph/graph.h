@@ -5,6 +5,7 @@
 #define FAIRWOS_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,30 @@
 #include "tensor/sparse.h"
 
 namespace fairwos::graph {
+
+/// The adjacency operators GNN layers aggregate with. D is the degree
+/// matrix without self-loops and D̃ = D + I.
+enum class OperatorKind {
+  kGcnNormalized,  ///< D̃^(-1/2) (A + I) D̃^(-1/2), the GCN operator
+  kPlain,          ///< A with unit weights, GIN's sum aggregation
+  kRowNormalized,  ///< D̃^(-1) (A + I)
+  kSelfLoops,      ///< A + I, the support set GAT attends over
+  kNeighborMean,   ///< D^(-1) A, the GraphSAGE mean; isolated rows are empty
+};
+inline constexpr int kNumOperatorKinds = 5;
+
+/// Appends row `row` of operator `kind` to CSR arrays. `neighbors` are the
+/// row's neighbors, sorted ascending, without `row` itself; `degree(v)` is
+/// any node's degree without its self-loop. Entries come out in ascending
+/// column order. GCN entries are products of inverse-sqrt degrees taken in
+/// double and narrowed to float per entry. This is the only place an
+/// operator value is computed: Graph::Operator builds every row with it,
+/// and graph::GraphSnapshot rebuilds the rows a mutation touched with it.
+void AppendOperatorRow(OperatorKind kind, int64_t row,
+                       const std::vector<int64_t>& neighbors,
+                       const std::function<int64_t(int64_t)>& degree,
+                       std::vector<int64_t>* col_idx,
+                       std::vector<float>* values);
 
 /// Simple undirected graph with adjacency lists. Self-loops are not stored;
 /// GNN normalizations add them explicitly where required.
@@ -53,21 +78,24 @@ class Graph {
 
   // --- Operators for GNN layers -------------------------------------------
 
-  /// GCN symmetric normalization: Â = D̃^(-1/2) (A + I) D̃^(-1/2).
-  std::shared_ptr<tensor::SparseMatrix> GcnNormalizedAdjacency() const;
+  /// Operator `kind` over this graph, every row built by AppendOperatorRow.
+  std::shared_ptr<tensor::SparseMatrix> Operator(OperatorKind kind) const;
 
-  /// Plain adjacency (no self-loops, unit weights), for GIN aggregation.
-  std::shared_ptr<tensor::SparseMatrix> PlainAdjacency() const;
-
-  /// Row-normalized adjacency with self-loops: D̃^(-1) (A + I).
-  std::shared_ptr<tensor::SparseMatrix> RowNormalizedAdjacency() const;
-
-  /// Unit adjacency plus identity (A + I); the support set GAT attends over.
-  std::shared_ptr<tensor::SparseMatrix> AdjacencyWithSelfLoops() const;
-
-  /// Pure neighbor mean operator D^(-1) A (no self-loops); isolated nodes
-  /// get an all-zero row. The GraphSAGE mean aggregator.
-  std::shared_ptr<tensor::SparseMatrix> NeighborMeanAdjacency() const;
+  std::shared_ptr<tensor::SparseMatrix> GcnNormalizedAdjacency() const {
+    return Operator(OperatorKind::kGcnNormalized);
+  }
+  std::shared_ptr<tensor::SparseMatrix> PlainAdjacency() const {
+    return Operator(OperatorKind::kPlain);
+  }
+  std::shared_ptr<tensor::SparseMatrix> RowNormalizedAdjacency() const {
+    return Operator(OperatorKind::kRowNormalized);
+  }
+  std::shared_ptr<tensor::SparseMatrix> AdjacencyWithSelfLoops() const {
+    return Operator(OperatorKind::kSelfLoops);
+  }
+  std::shared_ptr<tensor::SparseMatrix> NeighborMeanAdjacency() const {
+    return Operator(OperatorKind::kNeighborMean);
+  }
 
  private:
   std::vector<std::vector<int64_t>> adj_;

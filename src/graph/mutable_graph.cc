@@ -1,7 +1,6 @@
 #include "graph/mutable_graph.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <unordered_set>
@@ -37,6 +36,10 @@ std::vector<int64_t> GraphSnapshot::Neighbors(int64_t v) const {
 
 std::shared_ptr<const Graph> GraphSnapshot::Materialized() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
+  return MaterializedLocked();
+}
+
+const std::shared_ptr<const Graph>& GraphSnapshot::MaterializedLocked() const {
   if (materialized_ == nullptr) {
     materialized_ = std::make_shared<const Graph>(overlay_.Materialize());
   }
@@ -65,50 +68,32 @@ tensor::Tensor GraphSnapshot::Features() const {
   return features_;
 }
 
-std::shared_ptr<const tensor::SparseMatrix> GraphSnapshot::FullOperatorLocked(
-    OpKind kind) const {
-  if (materialized_ == nullptr) {
-    materialized_ = std::make_shared<const Graph>(overlay_.Materialize());
-  }
-  switch (kind) {
-    case kGcn:
-      return materialized_->GcnNormalizedAdjacency();
-    case kPlain:
-      return materialized_->PlainAdjacency();
-    case kRowNorm:
-      return materialized_->RowNormalizedAdjacency();
-    case kSelfLoops:
-      return materialized_->AdjacencyWithSelfLoops();
-    case kNeighborMean:
-      return materialized_->NeighborMeanAdjacency();
-  }
-  FW_CHECK(false) << "unreachable operator kind";
-  return nullptr;
-}
-
-std::shared_ptr<const tensor::SparseMatrix>
-GraphSnapshot::IncrementalOperatorLocked(OpKind kind) const {
-  const tensor::SparseMatrix& prev = *refresh_.prev_ops[kind];
+std::shared_ptr<const tensor::SparseMatrix> GraphSnapshot::Patched(
+    OperatorKind kind, const tensor::SparseMatrix& prev) const {
   const int64_t n = overlay_.num_nodes();
   const std::vector<int64_t>& patch = refresh_.patch_rows;
-
   std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
   std::vector<int64_t> cols;
   std::vector<float> vals;
   // Most epochs touch a handful of rows; prev's nnz is a tight lower bound.
   cols.reserve(static_cast<size_t>(prev.nnz()) + 64);
   vals.reserve(static_cast<size_t>(prev.nnz()) + 64);
-
+  const std::function<int64_t(int64_t)> degree = [this](int64_t v) {
+    return overlay_.Degree(v);
+  };
   std::vector<int64_t> neighbors;
   size_t pi = 0;
   for (int64_t r = 0; r < n; ++r) {
     while (pi < patch.size() && patch[pi] < r) ++pi;
-    const bool patched = (pi < patch.size() && patch[pi] == r) ||
-                         r >= refresh_.prev_num_nodes;
-    if (!patched) {
-      // Copy the previous epoch's row verbatim — bit-identical by
-      // construction (the patch set covers every row whose entries could
-      // have changed; see the file comment in mutable_graph.h).
+    if ((pi < patch.size() && patch[pi] == r) ||
+        r >= refresh_.prev_num_nodes) {
+      neighbors.clear();
+      overlay_.AppendNeighbors(r, &neighbors);
+      std::sort(neighbors.begin(), neighbors.end());
+      AppendOperatorRow(kind, r, neighbors, degree, &cols, &vals);
+    } else {
+      // The patch set covers every row whose entries could have changed
+      // (see the file comment in mutable_graph.h): copy the rest verbatim.
       const auto& pp = prev.row_ptr();
       const size_t lo = static_cast<size_t>(pp[static_cast<size_t>(r)]);
       const size_t hi = static_cast<size_t>(pp[static_cast<size_t>(r) + 1]);
@@ -116,71 +101,6 @@ GraphSnapshot::IncrementalOperatorLocked(OpKind kind) const {
                   prev.col_idx().begin() + hi);
       vals.insert(vals.end(), prev.values().begin() + lo,
                   prev.values().begin() + hi);
-      row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(cols.size());
-      continue;
-    }
-    // Rebuild the row from the merged view with exactly the arithmetic
-    // graph::Graph uses, in sorted-column order (what FromCoo would have
-    // produced).
-    neighbors.clear();
-    overlay_.AppendNeighbors(r, &neighbors);
-    std::sort(neighbors.begin(), neighbors.end());
-    const int64_t deg = static_cast<int64_t>(neighbors.size());
-    auto push_with_diag = [&](auto value_of, float diag) {
-      bool placed = false;
-      for (int64_t v : neighbors) {
-        if (!placed && r < v) {
-          cols.push_back(r);
-          vals.push_back(diag);
-          placed = true;
-        }
-        cols.push_back(v);
-        vals.push_back(value_of(v));
-      }
-      if (!placed) {
-        cols.push_back(r);
-        vals.push_back(diag);
-      }
-    };
-    switch (kind) {
-      case kGcn: {
-        // Mirrors Graph::GcnNormalizedAdjacency: inverse-sqrt degrees in
-        // double, products narrowed to float per entry.
-        const double dr =
-            1.0 / std::sqrt(static_cast<double>(deg) + 1.0);
-        push_with_diag(
-            [&](int64_t v) {
-              const double dv = 1.0 / std::sqrt(
-                  static_cast<double>(overlay_.Degree(v)) + 1.0);
-              return static_cast<float>(dr * dv);
-            },
-            static_cast<float>(dr * dr));
-        break;
-      }
-      case kPlain:
-        for (int64_t v : neighbors) {
-          cols.push_back(v);
-          vals.push_back(1.0f);
-        }
-        break;
-      case kRowNorm: {
-        const float inv = 1.0f / static_cast<float>(deg + 1);
-        push_with_diag([&](int64_t) { return inv; }, inv);
-        break;
-      }
-      case kSelfLoops:
-        push_with_diag([&](int64_t) { return 1.0f; }, 1.0f);
-        break;
-      case kNeighborMean: {
-        if (deg > 0) {
-          const float inv = 1.0f / static_cast<float>(deg);
-          for (int64_t v : neighbors) {
-            cols.push_back(v);
-            vals.push_back(inv);
-          }
-        }
-        break;
-      }
     }
     row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(cols.size());
   }
@@ -189,50 +109,39 @@ GraphSnapshot::IncrementalOperatorLocked(OpKind kind) const {
 }
 
 std::shared_ptr<const tensor::SparseMatrix> GraphSnapshot::Operator(
-    OpKind kind) const {
+    OperatorKind kind) const {
+  const size_t k = static_cast<size_t>(kind);
   std::lock_guard<std::mutex> lock(cache_mu_);
-  if (ops_[kind] == nullptr) {
-    if (refresh_.prev_ops[kind] != nullptr) {
-      auto patched = IncrementalOperatorLocked(kind);
-      if (refresh_.cross_check) {
-        const auto full = FullOperatorLocked(kind);
-        FW_CHECK_EQ(patched->rows(), full->rows());
-        FW_CHECK(patched->row_ptr() == full->row_ptr())
-            << "incremental refresh diverged from rebuild (row_ptr), kind="
-            << static_cast<int>(kind);
-        FW_CHECK(patched->col_idx() == full->col_idx())
-            << "incremental refresh diverged from rebuild (col_idx), kind="
-            << static_cast<int>(kind);
-        FW_CHECK(patched->values().size() == full->values().size() &&
-                 (patched->values().empty() ||
-                  std::memcmp(patched->values().data(),
-                              full->values().data(),
-                              patched->values().size() * sizeof(float)) == 0))
-            << "incremental refresh diverged from rebuild (values), kind="
-            << static_cast<int>(kind);
-      }
-      ops_[kind] = std::move(patched);
-      ++ops_incremental_;
-      obs::MetricsRegistry::Global()
-          .GetCounter("graph.ops.incremental")
-          ->Increment();
-    } else {
-      ops_[kind] = FullOperatorLocked(kind);
-      ++ops_rebuilt_;
-      obs::MetricsRegistry::Global()
-          .GetCounter("graph.ops.rebuilt")
-          ->Increment();
-    }
+  if (ops_[k] != nullptr) return ops_[k];
+  const tensor::SparseMatrix* prev = refresh_.prev_ops[k].get();
+  if (prev == nullptr) {
+    ops_[k] = MaterializedLocked()->Operator(kind);
+    ++ops_rebuilt_;
+    obs::MetricsRegistry::Global().GetCounter("graph.ops.rebuilt")->Increment();
+    return ops_[k];
   }
-  return ops_[kind];
+  auto patched = Patched(kind, *prev);
+  if (refresh_.cross_check) {
+    const auto full = MaterializedLocked()->Operator(kind);
+    FW_CHECK(patched->row_ptr() == full->row_ptr() &&
+             patched->col_idx() == full->col_idx() &&
+             (patched->values().empty() ||
+              std::memcmp(patched->values().data(), full->values().data(),
+                          patched->values().size() * sizeof(float)) == 0))
+        << "incremental refresh diverged from rebuild, kind="
+        << static_cast<int>(kind);
+  }
+  ops_[k] = std::move(patched);
+  ++ops_incremental_;
+  obs::MetricsRegistry::Global()
+      .GetCounter("graph.ops.incremental")
+      ->Increment();
+  return ops_[k];
 }
 
-std::array<std::shared_ptr<const tensor::SparseMatrix>, 5>
-GraphSnapshot::BuiltOps() const {
+GraphSnapshot::Operators GraphSnapshot::BuiltOps() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  std::array<std::shared_ptr<const tensor::SparseMatrix>, 5> out;
-  for (int k = 0; k < 5; ++k) out[static_cast<size_t>(k)] = ops_[k];
-  return out;
+  return ops_;
 }
 
 int64_t GraphSnapshot::ops_incremental() const {
@@ -243,27 +152,6 @@ int64_t GraphSnapshot::ops_incremental() const {
 int64_t GraphSnapshot::ops_rebuilt() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   return ops_rebuilt_;
-}
-
-std::shared_ptr<const tensor::SparseMatrix>
-GraphSnapshot::GcnNormalizedAdjacency() const {
-  return Operator(kGcn);
-}
-std::shared_ptr<const tensor::SparseMatrix> GraphSnapshot::PlainAdjacency()
-    const {
-  return Operator(kPlain);
-}
-std::shared_ptr<const tensor::SparseMatrix>
-GraphSnapshot::RowNormalizedAdjacency() const {
-  return Operator(kRowNorm);
-}
-std::shared_ptr<const tensor::SparseMatrix>
-GraphSnapshot::AdjacencyWithSelfLoops() const {
-  return Operator(kSelfLoops);
-}
-std::shared_ptr<const tensor::SparseMatrix>
-GraphSnapshot::NeighborMeanAdjacency() const {
-  return Operator(kNeighborMean);
 }
 
 MutableGraph::MutableGraph(std::shared_ptr<const Graph> base,
@@ -656,7 +544,6 @@ std::vector<int64_t> MutableGraph::AffectedLocked(
 GraphSnapshot::Refresh MutableGraph::RefreshLocked(
     const std::vector<int64_t>& seeds) const {
   GraphSnapshot::Refresh refresh;
-  if (!options_.incremental_refresh || published_ == nullptr) return refresh;
   refresh.prev_ops = published_->BuiltOps();
   refresh.prev_num_nodes = published_->num_nodes();
   // 1 hop suffices for bit-identity of every backbone operator: an entry

@@ -44,11 +44,14 @@
 // 1-hop expansion of the mutation seeds over the union of the old and new
 // adjacency — for the degree-normalized operators that radius also covers
 // the degree-scaled entries in the touched *columns*, because every row
-// holding such an entry neighbors a mutation endpoint). Unpatched rows are
-// copied verbatim, so the result is bit-identical to a from-scratch
-// rebuild; MutableGraphOptions::refresh_cross_check additionally rebuilds
-// every operator from scratch and FW_CHECKs bit-equality (tests and the
-// chaos bench run with it on).
+// holding such an entry neighbors a mutation endpoint). Patched rows come
+// from graph::AppendOperatorRow, the row builder graph::Graph::Operator
+// uses for every row, and unpatched rows are copied verbatim, so the result
+// is bit-identical to a from-scratch rebuild. An epoch with no previous
+// operator to patch builds it from scratch via Materialized().
+// MutableGraphOptions::refresh_cross_check additionally rebuilds every
+// patched operator from scratch and FW_CHECKs bit-equality (the tests run
+// with it on).
 //
 // Durable mutation log: a graph created via Recover() carries a
 // graph::MutationLog. Every accepted mutation is appended (fsync'd) to the
@@ -59,7 +62,7 @@
 // log append (kMutationLogAppend) rejects the mutation with Internal and
 // leaves both the log and the overlay untouched.
 //
-// Because SparseMatrix::FromCoo sorts its COO entries, every adjacency
+// Because the row builder sorts each row's neighbors, every adjacency
 // operator built from a snapshot is bit-identical to the same operator
 // built from a from-scratch Graph holding the same edge set — which is what
 // makes the refresh and post-compaction bit-identity guarantees testable
@@ -92,13 +95,17 @@ namespace fairwos::graph {
 /// for views nobody reads.
 class GraphSnapshot {
  public:
+  /// One slot per OperatorKind.
+  using Operators = std::array<std::shared_ptr<const tensor::SparseMatrix>,
+                               kNumOperatorKinds>;
+
   /// What an epoch inherits from its predecessor for incremental operator
   /// refresh: the operators the previous snapshot had already built, its
   /// row count, and the sorted row ids this epoch must rebuild (everything
   /// else is copied verbatim). Populated by MutableGraph at publish time;
   /// an empty Refresh (no prev_ops) falls back to from-scratch builds.
   struct Refresh {
-    std::array<std::shared_ptr<const tensor::SparseMatrix>, 5> prev_ops{};
+    Operators prev_ops{};
     int64_t prev_num_nodes = 0;
     std::vector<int64_t> patch_rows;  // sorted, unique
     bool cross_check = false;  // also rebuild + FW_CHECK bit-identity
@@ -131,17 +138,32 @@ class GraphSnapshot {
   /// nodes were added.
   tensor::Tensor Features() const;
 
-  // Adjacency operators of the merged view, mirroring graph::Graph (each
-  // built once per snapshot and cached).
-  std::shared_ptr<const tensor::SparseMatrix> GcnNormalizedAdjacency() const;
-  std::shared_ptr<const tensor::SparseMatrix> PlainAdjacency() const;
-  std::shared_ptr<const tensor::SparseMatrix> RowNormalizedAdjacency() const;
-  std::shared_ptr<const tensor::SparseMatrix> AdjacencyWithSelfLoops() const;
-  std::shared_ptr<const tensor::SparseMatrix> NeighborMeanAdjacency() const;
+  /// Operator `kind` of the merged view, mirroring graph::Graph::Operator
+  /// bit for bit. Built once per snapshot and cached: the previous epoch's
+  /// operator with the refresh's patch rows rebuilt, or from scratch when
+  /// there is none.
+  std::shared_ptr<const tensor::SparseMatrix> Operator(
+      OperatorKind kind) const;
+
+  std::shared_ptr<const tensor::SparseMatrix> GcnNormalizedAdjacency() const {
+    return Operator(OperatorKind::kGcnNormalized);
+  }
+  std::shared_ptr<const tensor::SparseMatrix> PlainAdjacency() const {
+    return Operator(OperatorKind::kPlain);
+  }
+  std::shared_ptr<const tensor::SparseMatrix> RowNormalizedAdjacency() const {
+    return Operator(OperatorKind::kRowNormalized);
+  }
+  std::shared_ptr<const tensor::SparseMatrix> AdjacencyWithSelfLoops() const {
+    return Operator(OperatorKind::kSelfLoops);
+  }
+  std::shared_ptr<const tensor::SparseMatrix> NeighborMeanAdjacency() const {
+    return Operator(OperatorKind::kNeighborMean);
+  }
 
   /// The operators this snapshot has built so far (null where not yet
   /// requested) — the next epoch's Refresh captures these at publish time.
-  std::array<std::shared_ptr<const tensor::SparseMatrix>, 5> BuiltOps() const;
+  Operators BuiltOps() const;
 
   /// How many of this snapshot's operators were built by patching the
   /// previous epoch's matrices vs from scratch (tests and benches assert
@@ -150,20 +172,14 @@ class GraphSnapshot {
   int64_t ops_rebuilt() const;
 
  private:
-  enum OpKind { kGcn = 0, kPlain, kRowNorm, kSelfLoops, kNeighborMean };
+  /// Requires cache_mu_.
+  const std::shared_ptr<const Graph>& MaterializedLocked() const;
 
-  std::shared_ptr<const tensor::SparseMatrix> Operator(OpKind kind) const;
-
-  /// From-scratch build via the materialized Graph. Requires cache_mu_.
-  std::shared_ptr<const tensor::SparseMatrix> FullOperatorLocked(
-      OpKind kind) const;
-
-  /// Patches refresh_.prev_ops[kind]: rows in patch_rows (plus any row past
-  /// the previous epoch's node count) are rebuilt from the merged view with
-  /// exactly the arithmetic graph::Graph uses; every other row is copied
-  /// verbatim. Requires cache_mu_.
-  std::shared_ptr<const tensor::SparseMatrix> IncrementalOperatorLocked(
-      OpKind kind) const;
+  /// `prev` with the rows in patch_rows (plus any row past the previous
+  /// epoch's node count) rebuilt from the merged view by AppendOperatorRow;
+  /// every other row is copied verbatim.
+  std::shared_ptr<const tensor::SparseMatrix> Patched(
+      OperatorKind kind, const tensor::SparseMatrix& prev) const;
 
   const int64_t epoch_;
   const DeltaOverlay overlay_;  // frozen at publish
@@ -175,7 +191,7 @@ class GraphSnapshot {
   mutable std::shared_ptr<const Graph> materialized_;
   mutable tensor::Tensor features_;
   mutable bool features_built_ = false;
-  mutable std::shared_ptr<const tensor::SparseMatrix> ops_[5];
+  mutable Operators ops_{};
   mutable int64_t ops_incremental_ = 0;
   mutable int64_t ops_rebuilt_ = 0;
 };
@@ -189,10 +205,6 @@ struct MutableGraphOptions {
   /// unaffected nodes to stay bit-correct across the epoch (one operator
   /// application propagates a changed degree exactly one hop).
   int64_t invalidation_radius = 2;
-  /// Patch the previous epoch's cached operators instead of rebuilding all
-  /// five from scratch at every publish. Bit-identical either way; false
-  /// forces the O(E) rebuild path (the bench baseline).
-  bool incremental_refresh = true;
   /// Debug/test mode: every incrementally refreshed operator is also
   /// rebuilt from scratch and FW_CHECKed bit-equal.
   bool refresh_cross_check = false;
@@ -314,9 +326,8 @@ class MutableGraph {
   std::vector<int64_t> AffectedLocked(const std::vector<int64_t>& seeds,
                                       int64_t radius) const;
 
-  /// The Refresh the next snapshot inherits from published_ (empty when
-  /// incremental refresh is off or nothing was published yet). Requires
-  /// mu_; `seeds` are the unpublished mutations' seed nodes.
+  /// The Refresh the next snapshot inherits from published_. Requires mu_;
+  /// `seeds` are the unpublished mutations' seed nodes.
   GraphSnapshot::Refresh RefreshLocked(
       const std::vector<int64_t>& seeds) const;
 

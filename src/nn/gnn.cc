@@ -30,19 +30,24 @@ const char* BackboneName(Backbone backbone) {
   return "?";
 }
 
-std::shared_ptr<const tensor::SparseMatrix> AdjacencyForBackbone(
-    Backbone backbone, const graph::Graph& g) {
+graph::OperatorKind OperatorForBackbone(Backbone backbone) {
   switch (backbone) {
     case Backbone::kGcn:
-      return g.GcnNormalizedAdjacency();
+      return graph::OperatorKind::kGcnNormalized;
     case Backbone::kGin:
-      return g.PlainAdjacency();
+      return graph::OperatorKind::kPlain;
     case Backbone::kSage:
-      return g.NeighborMeanAdjacency();
+      return graph::OperatorKind::kNeighborMean;
     case Backbone::kGat:
-      return g.AdjacencyWithSelfLoops();
+      return graph::OperatorKind::kSelfLoops;
   }
-  return nullptr;
+  FW_CHECK(false) << "unknown backbone";
+  return graph::OperatorKind::kGcnNormalized;
+}
+
+std::shared_ptr<const tensor::SparseMatrix> AdjacencyForBackbone(
+    Backbone backbone, const graph::Graph& g) {
+  return g.Operator(OperatorForBackbone(backbone));
 }
 
 GcnConv::GcnConv(int64_t in_features, int64_t out_features, common::Rng* rng)
@@ -155,10 +160,10 @@ GnnEncoder::GnnEncoder(const GnnConfig& config, const graph::Graph& g,
   FW_CHECK_GT(config.in_features, 0);
   FW_CHECK_GT(config.hidden, 0);
   FW_CHECK_GE(config.num_layers, 1);
+  adj_ = AdjacencyForBackbone(config.backbone, g);
   int64_t in = config.in_features;
   switch (config.backbone) {
     case Backbone::kGcn:
-      adj_ = g.GcnNormalizedAdjacency();
       for (int64_t l = 0; l < config.num_layers; ++l) {
         gcn_layers_.emplace_back(in, config.hidden, rng);
         in = config.hidden;
@@ -166,7 +171,6 @@ GnnEncoder::GnnEncoder(const GnnConfig& config, const graph::Graph& g,
       for (const auto& layer : gcn_layers_) RegisterSubmodule(layer);
       break;
     case Backbone::kGin:
-      adj_ = g.PlainAdjacency();
       for (int64_t l = 0; l < config.num_layers; ++l) {
         gin_layers_.emplace_back(in, config.hidden, config.gin_eps, rng);
         in = config.hidden;
@@ -174,7 +178,6 @@ GnnEncoder::GnnEncoder(const GnnConfig& config, const graph::Graph& g,
       for (const auto& layer : gin_layers_) RegisterSubmodule(layer);
       break;
     case Backbone::kSage:
-      adj_ = g.NeighborMeanAdjacency();
       for (int64_t l = 0; l < config.num_layers; ++l) {
         sage_layers_.emplace_back(in, config.hidden, config.sage_normalize,
                                   rng);
@@ -183,7 +186,6 @@ GnnEncoder::GnnEncoder(const GnnConfig& config, const graph::Graph& g,
       for (const auto& layer : sage_layers_) RegisterSubmodule(layer);
       break;
     case Backbone::kGat:
-      adj_ = g.AdjacencyWithSelfLoops();
       for (int64_t l = 0; l < config.num_layers; ++l) {
         gat_layers_.emplace_back(in, config.hidden, config.gat_heads,
                                  config.gat_negative_slope, rng);

@@ -24,9 +24,14 @@ enum class Backbone { kGcn, kGin, kSage, kGat };
 common::Result<Backbone> ParseBackbone(const std::string& name);
 const char* BackboneName(Backbone backbone);
 
-/// The adjacency operator `backbone`'s layers aggregate with, built from
-/// `g` — the same operator GnnEncoder captures at construction. Exposed so
-/// dynamic-graph serving (and verification passes) can rebuild it for a
+/// The adjacency operator `backbone`'s layers aggregate with: GCN the
+/// symmetric-normalized one, GIN the plain one, SAGE the neighbor mean and
+/// GAT the self-loop support set. The one place this mapping is written;
+/// dynamic-graph serving asks a graph::GraphSnapshot for the same kind.
+graph::OperatorKind OperatorForBackbone(Backbone backbone);
+
+/// `g`'s operator for `backbone` — the one GnnEncoder captures at
+/// construction. Exposed so verification passes can rebuild it for a
 /// mutated graph and run the encoder via ForwardWith.
 std::shared_ptr<const tensor::SparseMatrix> AdjacencyForBackbone(
     Backbone backbone, const graph::Graph& g);

@@ -49,23 +49,6 @@ common::Status ValidateOptions(const EngineOptions& options) {
   return common::Status::OK();
 }
 
-/// The snapshot-side twin of nn::AdjacencyForBackbone: the merged view's
-/// operator for `backbone`, built (and cached) by the snapshot.
-std::shared_ptr<const tensor::SparseMatrix> SnapshotAdjacency(
-    nn::Backbone backbone, const graph::GraphSnapshot& snap) {
-  switch (backbone) {
-    case nn::Backbone::kGcn:
-      return snap.GcnNormalizedAdjacency();
-    case nn::Backbone::kGin:
-      return snap.PlainAdjacency();
-    case nn::Backbone::kSage:
-      return snap.NeighborMeanAdjacency();
-    case nn::Backbone::kGat:
-      return snap.AdjacencyWithSelfLoops();
-  }
-  return nullptr;
-}
-
 std::shared_ptr<ModelRegistry> SingleModelRegistry(
     std::unique_ptr<core::FittedGnnModel> model, const std::string& model_id,
     const data::Dataset& ds) {
@@ -365,8 +348,8 @@ InferenceEngine::GroupExecution InferenceEngine::ExecuteGroup(
     } else {
       snap_input = snap->Features();
     }
-    snap_adj = SnapshotAdjacency(
-        entry->model->classifier().encoder().config().backbone, *snap);
+    snap_adj = snap->Operator(nn::OperatorForBackbone(
+        entry->model->classifier().encoder().config().backbone));
   }
 
   const int64_t attempts = 1 + options_.forward_retries;

@@ -22,21 +22,21 @@ struct CooEntry {
   float value = 0.0f;
 };
 
-/// Immutable CSR matrix. Construct via FromCoo, then treat as read-only;
-/// the transpose is computed lazily and cached for autograd.
+/// Immutable CSR matrix. Construct via FromCoo or FromCsr, then treat as
+/// read-only; the transpose is computed lazily and cached for autograd.
 class SparseMatrix {
  public:
   /// Builds from COO entries. Duplicate (row, col) entries are summed.
   static std::shared_ptr<SparseMatrix> FromCoo(int64_t rows, int64_t cols,
                                                std::vector<CooEntry> entries);
 
-  /// Adopts already-assembled CSR arrays without the COO sort — the fast
-  /// path for incremental operator refresh (graph/mutable_graph.h), where
-  /// most rows are copied verbatim from a previous epoch's matrix. The
-  /// caller must supply rows+1 monotone row offsets and, within each row,
-  /// column indices sorted ascending with no duplicates (the invariant
-  /// FromCoo establishes); shape checks are FW_CHECKed, the per-row order
-  /// is trusted.
+  /// Adopts already-assembled CSR arrays without the COO sort. Every graph
+  /// adjacency operator is built this way, row by row, by
+  /// graph::AppendOperatorRow (graph/graph.h). The caller must supply
+  /// rows+1 monotone row offsets and, within each row, column indices
+  /// sorted ascending with no duplicates (the invariant FromCoo
+  /// establishes); shape checks are FW_CHECKed, the per-row order is
+  /// trusted.
   static std::shared_ptr<SparseMatrix> FromCsr(int64_t rows, int64_t cols,
                                                std::vector<int64_t> row_ptr,
                                                std::vector<int64_t> col_idx,

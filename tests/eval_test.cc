@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/vanilla.h"
+#include "common/metrics.h"
 #include "data/synthetic.h"
 #include "eval/harness.h"
 #include "eval/kmeans.h"
@@ -179,6 +180,30 @@ TEST(HarnessTest, RejectsNonPositiveTrials) {
   nn::GnnConfig gnn;
   baselines::VanillaMethod method(gnn, {});
   EXPECT_FALSE(RunRepeated(&method, ds, 0, 1).ok());
+}
+
+/// A method whose configuration is invalid: every Fit says so.
+class MisconfiguredMethod : public core::FairMethod {
+ public:
+  std::string name() const override { return "Misconfigured"; }
+  common::Result<std::unique_ptr<core::FittedModel>> Fit(
+      const data::Dataset&, uint64_t) override {
+    return common::Status::InvalidArgument("k must be positive");
+  }
+};
+
+TEST(EvalTest, InvalidConfigurationComesBackAsItself) {
+  auto ds = data::MakeDataset("toy", {}).value();
+  MisconfiguredMethod method;
+  obs::Counter* failed =
+      obs::MetricsRegistry::Global().GetCounter("eval.failed_trials");
+  const int64_t failed_before = failed->value();
+  auto agg = RunRepeated(&method, ds, 3, 1);
+  ASSERT_FALSE(agg.ok());
+  EXPECT_EQ(agg.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(agg.status().message(), "k must be positive");
+  // Not counted as a skipped trial failure.
+  EXPECT_EQ(failed->value(), failed_before);
 }
 
 }  // namespace

@@ -332,8 +332,8 @@ TEST(MutationCompactionTest, CompactedViewIsBitIdenticalToFreshCsr) {
   const std::shared_ptr<const Graph> merged = snap->Materialized();
 
   // Rebuild the same edge set from scratch and compare the actual CSR
-  // operator buffers: FromCoo sorts its entries, so identical edge sets
-  // must produce identical row_ptr/col_idx/values — bit-for-bit.
+  // operator buffers: each row's neighbors are sorted, so identical edge
+  // sets must produce identical row_ptr/col_idx/values — bit-for-bit.
   Graph fresh(merged->num_nodes());
   for (int64_t u = 0; u < merged->num_nodes(); ++u) {
     for (int64_t v : merged->Neighbors(u)) {
@@ -812,7 +812,6 @@ void BuildAllOps(const GraphSnapshot& snap) {
 
 MutableGraphOptions CrossCheckedRefresh() {
   MutableGraphOptions options;
-  options.incremental_refresh = true;
   options.refresh_cross_check = true;  // FW_CHECKs bit-identity internally
   return options;
 }
@@ -887,18 +886,6 @@ TEST(MutationRefreshTest, RefreshSurvivesCompaction) {
   ASSERT_NE(after.get(), before.get());
   BuildAllOps(*after);
   EXPECT_EQ(after->ops_incremental(), 5);
-}
-
-TEST(MutationRefreshTest, DisabledRefreshAlwaysRebuilds) {
-  MutableGraphOptions options;
-  options.incremental_refresh = false;
-  MutableGraph g = MakePathMutable(16, options);
-  BuildAllOps(*g.Current());
-  ASSERT_TRUE(g.AddEdge(0, 8).ok());
-  const auto snap = g.Publish();
-  BuildAllOps(*snap);
-  EXPECT_EQ(snap->ops_incremental(), 0);
-  EXPECT_EQ(snap->ops_rebuilt(), 5);
 }
 
 // --- Transactional ApplyBatch ---------------------------------------------
